@@ -55,9 +55,10 @@ class Client
      *  loss; routed errors come back in the Reply. */
     Reply submit(std::uint64_t gsid, const serve::WireRequest &req);
 
-    /** Pipelined path: send now, collect with readReply() later
-     *  (replies for one gsid arrive in send order). Returns the
-     *  req_id to correlate. ClusterError on transport loss. */
+    /** Pipelined path: send now, collect with readReply() later.
+     *  Accepted requests of one gsid reply in send order, but a
+     *  typed rejection or Error may overtake them: match replies by
+     *  the returned req_id. ClusterError on transport loss. */
     std::uint64_t sendSubmit(std::uint64_t gsid,
                              const serve::WireRequest &req);
     Reply readReply();

@@ -25,15 +25,9 @@ jsonUint(const std::string &text, const std::string &key)
 
 } // namespace
 
-struct Router::ClientConn
-{
-    Fd fd;
-    std::mutex write_mu;
-};
-
 struct Router::PendingCall
 {
-    std::shared_ptr<ClientConn> client;
+    std::shared_ptr<Connection> client;
     std::uint64_t client_req_id = 0;
     std::uint64_t gsid = 0;
     bool tracked = false; ///< counted in outstanding_
@@ -54,10 +48,12 @@ struct Router::Link
 };
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)), ring_(options_.vnodes)
+    : options_(std::move(options)), ring_(options_.vnodes),
+      server_(options_.host, options_.port,
+              [this](const std::shared_ptr<Connection> &client) {
+                  serveClient(client);
+              })
 {
-    listen_fd_ = listenTcp(options_.host, options_.port);
-    port_ = localPort(listen_fd_.get());
     for (std::size_t i = 0; i < options_.workers.size(); ++i) {
         auto link = std::make_unique<Link>();
         link->slot = static_cast<std::uint32_t>(i);
@@ -89,7 +85,7 @@ Router::start()
 {
     for (auto &link : links_)
         connectLink(*link);
-    accept_thread_ = std::thread(&Router::acceptLoop, this);
+    server_.start();
 }
 
 void
@@ -97,19 +93,10 @@ Router::stop()
 {
     if (stopping_.exchange(true))
         return;
-    listen_fd_.shutdownBoth();
-    {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        for (const auto &c : conns_)
-            c->fd.shutdownBoth();
-    }
+    // Links first: a client thread blocked in call() then fails fast.
     for (auto &link : links_)
         link->fd.shutdownBoth();
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-    for (std::thread &t : conn_threads_)
-        if (t.joinable())
-            t.join();
+    server_.stop();
     for (auto &link : links_)
         if (link->reader.joinable())
             link->reader.join();
@@ -149,7 +136,7 @@ Router::finishOutstanding(std::uint64_t gsid)
 }
 
 void
-Router::replyError(const std::shared_ptr<ClientConn> &client,
+Router::replyError(const std::shared_ptr<Connection> &client,
                    std::uint64_t req_id, std::uint64_t gsid,
                    const std::string &what)
 {
@@ -212,7 +199,7 @@ Router::call(Link &link, Frame frame)
 }
 
 void
-Router::forwardSubmit(const std::shared_ptr<ClientConn> &client,
+Router::forwardSubmit(const std::shared_ptr<Connection> &client,
                       const Frame &frame)
 {
     std::uint32_t slot;
@@ -465,7 +452,7 @@ Router::migrate(std::uint64_t gsid, std::uint32_t target_slot)
         ring_.pin(gsid, target_slot);
     }
     for (;;) {
-        std::vector<std::pair<std::shared_ptr<ClientConn>, Frame>>
+        std::vector<std::pair<std::shared_ptr<Connection>, Frame>>
             parked;
         {
             std::lock_guard<std::mutex> lk(place_mu_);
@@ -513,25 +500,7 @@ Router::scrapeWorker(std::uint32_t slot, ScrapeKind kind)
 }
 
 void
-Router::acceptLoop()
-{
-    for (;;) {
-        int fd = acceptTcp(listen_fd_.get());
-        if (fd < 0)
-            return;
-        auto client = std::make_shared<ClientConn>();
-        client->fd = Fd(fd);
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        if (stopping_.load())
-            return;
-        conns_.insert(client);
-        conn_threads_.emplace_back(&Router::serveClient, this,
-                                   client);
-    }
-}
-
-void
-Router::serveClient(std::shared_ptr<ClientConn> client)
+Router::serveClient(const std::shared_ptr<Connection> &client)
 {
     Frame frame;
     for (;;) {
@@ -612,8 +581,6 @@ Router::serveClient(std::shared_ptr<ClientConn> client)
             break;
         }
     }
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    conns_.erase(client);
 }
 
 RouterStats

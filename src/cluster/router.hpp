@@ -40,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -98,7 +97,7 @@ class Router
     Router(const Router &) = delete;
     Router &operator=(const Router &) = delete;
 
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return server_.port(); }
 
     /** Connects worker links and starts serving (background). */
     void start();
@@ -125,30 +124,26 @@ class Router
     std::string extraExposition() const;
 
   private:
-    struct ClientConn;
     struct PendingCall;
     struct Link;
 
-    void acceptLoop();
-    void serveClient(std::shared_ptr<ClientConn> client);
+    void serveClient(const std::shared_ptr<Connection> &client);
     void linkReader(Link *link);
     void connectLink(Link &link);
     void failover(Link &link);
-    void forwardSubmit(const std::shared_ptr<ClientConn> &client,
+    void forwardSubmit(const std::shared_ptr<Connection> &client,
                        const Frame &frame);
     bool sendOnLink(Link &link, Frame frame, PendingCall pending,
                     std::uint64_t *out_req_id = nullptr);
     Frame call(Link &link, Frame frame);
     std::uint32_t slotForSession(std::uint64_t gsid);
     Link *linkForSlot(std::uint32_t slot);
-    void replyError(const std::shared_ptr<ClientConn> &client,
+    void replyError(const std::shared_ptr<Connection> &client,
                     std::uint64_t req_id, std::uint64_t gsid,
                     const std::string &what);
     void finishOutstanding(std::uint64_t gsid);
 
     RouterOptions options_;
-    Fd listen_fd_;
-    std::uint16_t port_ = 0;
 
     std::vector<std::unique_ptr<Link>> links_; ///< index = slot
 
@@ -159,7 +154,7 @@ class Router
     std::condition_variable quiesced_cv_;
     /** Sessions mid-migration; their submits buffer here. */
     std::map<std::uint64_t,
-             std::vector<std::pair<std::shared_ptr<ClientConn>,
+             std::vector<std::pair<std::shared_ptr<Connection>,
                                    Frame>>>
         migrating_;
 
@@ -172,11 +167,9 @@ class Router
     std::atomic<std::uint64_t> n_failover_replayed_{0};
     std::atomic<std::uint64_t> n_migrations_{0};
 
-    std::mutex conns_mu_;
-    std::set<std::shared_ptr<ClientConn>> conns_;
-    std::vector<std::thread> conn_threads_;
-    std::thread accept_thread_;
     std::atomic<bool> stopping_{false};
+
+    ConnectionServer server_; ///< last: its threads use the above
 };
 
 } // namespace psm::cluster

@@ -169,4 +169,94 @@ recvAll(int fd, void *data, std::size_t n)
     return true;
 }
 
+ConnectionServer::ConnectionServer(const std::string &host,
+                                   std::uint16_t port, Handler serve)
+    : listen_fd_(listenTcp(host, port)),
+      port_(localPort(listen_fd_.get())), serve_(std::move(serve))
+{}
+
+ConnectionServer::~ConnectionServer() { stop(); }
+
+void
+ConnectionServer::start()
+{
+    accept_thread_ = std::thread(&ConnectionServer::acceptLoop, this);
+}
+
+void
+ConnectionServer::acceptLoop()
+{
+    for (;;) {
+        int fd = acceptTcp(listen_fd_.get());
+        if (fd < 0)
+            return; // listener shut down
+        auto conn = std::make_shared<Connection>();
+        conn->fd = Fd(fd);
+        std::lock_guard<std::mutex> lk(mu_);
+        if (stopping_)
+            return;
+        // Registered under mu_ before the thread can reach its own
+        // exit path, which looks itself up here.
+        live_.emplace(conn.get(),
+                      std::make_pair(conn,
+                                     std::thread(&ConnectionServer::
+                                                     serveOne,
+                                                 this, conn)));
+    }
+}
+
+void
+ConnectionServer::serveOne(std::shared_ptr<Connection> conn)
+{
+    serve_(conn);
+    // Trade places with the previously finished thread: park this
+    // thread's handle for the next one to end (or stop()) to join,
+    // and join the one parked before it, which has already ended.
+    std::thread previous;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = live_.find(conn.get());
+        if (it == live_.end())
+            return; // stop() holds this thread's handle
+        previous = std::move(finished_);
+        finished_ = std::move(it->second.second);
+        live_.erase(it);
+    }
+    if (previous.joinable())
+        previous.join();
+}
+
+void
+ConnectionServer::stop()
+{
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (stopping_)
+            return;
+        stopping_ = true;
+        listen_fd_.shutdownBoth();
+        for (const auto &[raw, entry] : live_)
+            entry.first->fd.shutdownBoth();
+    }
+    if (accept_thread_.joinable())
+        accept_thread_.join();
+    // Connection threads end on their own now that their sockets are
+    // shut down; each one joins its predecessor on the way out.
+    for (;;) {
+        std::thread t;
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            if (!live_.empty()) {
+                t = std::move(live_.begin()->second.second);
+                live_.erase(live_.begin());
+            } else {
+                t = std::move(finished_);
+            }
+        }
+        if (!t.joinable())
+            return;
+        t.join();
+    }
+}
+
 } // namespace psm::cluster

@@ -42,64 +42,37 @@ struct Standby::Replica
 Standby::Standby(std::shared_ptr<const ops5::Program> program,
                  StandbyOptions options)
     : program_(std::move(program)), options_(std::move(options)),
-      fingerprint_(durable::programFingerprint(*program_))
-{
-    listen_fd_ = listenTcp(options_.host, options_.port);
-    port_ = localPort(listen_fd_.get());
-}
+      fingerprint_(durable::programFingerprint(*program_)),
+      server_(options_.host, options_.port,
+              [this](const std::shared_ptr<Connection> &conn) {
+                  serveConn(*conn);
+              })
+{}
 
 Standby::~Standby() { stop(); }
 
 void
 Standby::start()
 {
-    accept_thread_ = std::thread(&Standby::acceptLoop, this);
+    server_.start();
 }
 
 void
 Standby::stop()
 {
-    if (stopping_.exchange(true))
-        return;
-    listen_fd_.shutdownBoth();
-    {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        for (const auto &c : conns_)
-            c->shutdownBoth();
-    }
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-    for (std::thread &t : conn_threads_)
-        if (t.joinable())
-            t.join();
+    server_.stop();
     std::lock_guard<std::mutex> lk(mu_);
     replicas_.clear();
 }
 
 void
-Standby::acceptLoop()
-{
-    for (;;) {
-        int fd = acceptTcp(listen_fd_.get());
-        if (fd < 0)
-            return;
-        auto conn = std::make_shared<Fd>(fd);
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        if (stopping_.load())
-            return;
-        conns_.insert(conn);
-        conn_threads_.emplace_back(&Standby::serveConn, this, conn);
-    }
-}
-
-void
-Standby::serveConn(std::shared_ptr<Fd> fd)
+Standby::serveConn(Connection &conn)
 {
     Frame frame;
     for (;;) {
         bool ok;
         try {
-            ok = recvFrame(fd->get(), frame);
+            ok = recvFrame(conn.fd.get(), frame);
         } catch (const ClusterError &) {
             break; // not our protocol / corrupt stream: drop the peer
         }
@@ -117,8 +90,6 @@ Standby::serveConn(std::shared_ptr<Fd> fd)
             // the shard re-anchors at its next shipped snapshot.
         }
     }
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    conns_.erase(fd);
 }
 
 std::string

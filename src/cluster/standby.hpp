@@ -27,14 +27,12 @@
 #ifndef PSM_CLUSTER_STANDBY_HPP
 #define PSM_CLUSTER_STANDBY_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/protocol.hpp"
@@ -79,7 +77,7 @@ class Standby
     Standby(const Standby &) = delete;
     Standby &operator=(const Standby &) = delete;
 
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return server_.port(); }
 
     void start();
     void stop();
@@ -97,8 +95,7 @@ class Standby
   private:
     struct Replica;
 
-    void acceptLoop();
-    void serveConn(std::shared_ptr<Fd> fd);
+    void serveConn(Connection &conn);
     void handleSnapshot(const Frame &frame);
     void handleFrame(const Frame &frame);
     Replica *openReplica(std::uint64_t gsid);
@@ -107,18 +104,12 @@ class Standby
     std::shared_ptr<const ops5::Program> program_;
     StandbyOptions options_;
     std::uint64_t fingerprint_;
-    Fd listen_fd_;
-    std::uint16_t port_ = 0;
 
     mutable std::mutex mu_;
     std::map<std::uint64_t, std::unique_ptr<Replica>> replicas_;
     std::set<std::uint64_t> released_;
 
-    std::mutex conns_mu_;
-    std::set<std::shared_ptr<Fd>> conns_;
-    std::vector<std::thread> conn_threads_;
-    std::thread accept_thread_;
-    std::atomic<bool> stopping_{false};
+    ConnectionServer server_; ///< last: its threads use the above
 };
 
 } // namespace psm::cluster

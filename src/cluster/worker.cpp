@@ -1,7 +1,5 @@
 #include "cluster/worker.hpp"
 
-#include <condition_variable>
-#include <deque>
 #include <sstream>
 
 #include "durable/format.hpp"
@@ -150,29 +148,14 @@ struct Worker::Shard
     bool restored = false;
 };
 
-/** One gsid's FIFO lane within a connection. */
-struct Worker::Lane
-{
-    std::deque<Frame> q;
-    std::condition_variable cv;
-    bool stop = false;
-    std::thread thread;
-};
-
-struct Worker::Conn
-{
-    Fd fd;
-    std::mutex write_mu;
-    std::mutex lanes_mu;
-    std::map<std::uint64_t, std::unique_ptr<Lane>> lanes;
-};
-
 Worker::Worker(std::shared_ptr<const ops5::Program> program,
                WorkerOptions options)
-    : program_(std::move(program)), options_(std::move(options))
+    : program_(std::move(program)), options_(std::move(options)),
+      server_(options_.host, options_.port,
+              [this](const std::shared_ptr<Connection> &conn) {
+                  serveConn(conn);
+              })
 {
-    listen_fd_ = listenTcp(options_.host, options_.port);
-    port_ = localPort(listen_fd_.get());
     if (!options_.ship_host.empty() && !options_.dir.empty())
         ship_ = std::make_unique<ShipChannel>(
             options_.ship_host, options_.ship_port, options_.slot);
@@ -189,59 +172,24 @@ Worker::shardDir(const std::string &root, std::uint64_t gsid)
 void
 Worker::start()
 {
-    accept_thread_ = std::thread(&Worker::acceptLoop, this);
-}
-
-void
-Worker::run()
-{
-    acceptLoop();
+    server_.start();
 }
 
 void
 Worker::stop()
 {
-    if (stopping_.exchange(true))
-        return;
-    listen_fd_.shutdownBoth();
+    server_.stop();
+    // Pools drain (and, per policy, checkpoint) in their destructors;
+    // replies still owed go to connections that are shut down.
+    std::map<std::uint64_t, std::shared_ptr<Shard>> shards;
     {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        for (const auto &c : conns_)
-            c->fd.shutdownBoth();
-    }
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-    for (std::thread &t : conn_threads_)
-        if (t.joinable())
-            t.join();
-    // Pools drain (and, per policy, checkpoint) in their destructors.
-    std::lock_guard<std::mutex> lk(shards_mu_);
-    shards_.clear();
-}
-
-void
-Worker::acceptLoop()
-{
-    for (;;) {
-        int fd = acceptTcp(listen_fd_.get());
-        if (fd < 0)
-            return; // listener shut down
-        auto conn = std::make_shared<Conn>();
-        conn->fd = Fd(fd);
-        {
-            std::lock_guard<std::mutex> lk(conns_mu_);
-            if (stopping_.load()) {
-                return;
-            }
-            conns_.insert(conn);
-            conn_threads_.emplace_back(&Worker::serveConn, this,
-                                       conn);
-        }
+        std::lock_guard<std::mutex> lk(shards_mu_);
+        shards.swap(shards_);
     }
 }
 
 void
-Worker::serveConn(std::shared_ptr<Conn> conn)
+Worker::serveConn(const std::shared_ptr<Connection> &conn)
 {
     Frame frame;
     for (;;) {
@@ -256,168 +204,104 @@ Worker::serveConn(std::shared_ptr<Conn> conn)
         }
         if (!ok)
             break;
-        switch (frame.msg) {
-          case Msg::Submit:
-          case Msg::OpenShard:
-          case Msg::DropShard: {
-            // Lane dispatch: per-gsid FIFO, cross-gsid parallel.
-            std::lock_guard<std::mutex> lk(conn->lanes_mu);
-            auto [it, fresh] =
-                conn->lanes.try_emplace(frame.gsid, nullptr);
-            if (fresh) {
-                it->second = std::make_unique<Lane>();
-                it->second->thread =
-                    std::thread(&Worker::laneLoop, this, conn,
-                                frame.gsid, it->second.get());
+        try {
+            switch (frame.msg) {
+              case Msg::Submit: submit(conn, frame); break;
+              case Msg::OpenShard: {
+                const bool restore =
+                    !frame.body.empty() && frame.body[0] != 0;
+                std::shared_ptr<Shard> shard =
+                    openShard(frame.gsid, restore);
+                sendFrame(conn->fd.get(),
+                          Frame::text(Msg::ShardInfo, frame.req_id,
+                                      frame.gsid,
+                                      shardInfoJson(frame.gsid,
+                                                    *shard)),
+                          &conn->write_mu);
+                break;
+              }
+              case Msg::DropShard: dropShard(*conn, frame); break;
+              case Msg::Scrape: {
+                const ScrapeKind kind =
+                    !frame.body.empty() &&
+                            frame.body[0] ==
+                                static_cast<std::uint8_t>(
+                                    ScrapeKind::Metrics)
+                        ? ScrapeKind::Metrics
+                        : ScrapeKind::StatsJson;
+                std::string text = kind == ScrapeKind::Metrics
+                                       ? metricsText()
+                                       : statsJson();
+                sendFrame(conn->fd.get(),
+                          Frame::text(Msg::ScrapeText, frame.req_id, 0,
+                                      text),
+                          &conn->write_mu);
+                break;
+              }
+              case Msg::Ping: {
+                Frame pong;
+                pong.msg = Msg::Pong;
+                pong.req_id = frame.req_id;
+                sendFrame(conn->fd.get(), pong, &conn->write_mu);
+                break;
+              }
+              default:
+                throw ClusterError(std::string("unexpected ") +
+                                   msgName(frame.msg));
             }
-            it->second->q.push_back(frame);
-            it->second->cv.notify_one();
-            break;
-          }
-          case Msg::Scrape: {
-            const ScrapeKind kind =
-                !frame.body.empty() &&
-                        frame.body[0] ==
-                            static_cast<std::uint8_t>(
-                                ScrapeKind::Metrics)
-                    ? ScrapeKind::Metrics
-                    : ScrapeKind::StatsJson;
-            std::string text = kind == ScrapeKind::Metrics
-                                   ? metricsText()
-                                   : statsJson();
+        } catch (const std::exception &e) {
             sendFrame(conn->fd.get(),
-                      Frame::text(Msg::ScrapeText, frame.req_id, 0,
-                                  text),
+                      Frame::text(Msg::Error, frame.req_id, frame.gsid,
+                                  e.what()),
                       &conn->write_mu);
-            break;
-          }
-          case Msg::Ping: {
-            Frame pong;
-            pong.msg = Msg::Pong;
-            pong.req_id = frame.req_id;
-            sendFrame(conn->fd.get(), pong, &conn->write_mu);
-            break;
-          }
-          default:
-            sendFrame(conn->fd.get(),
-                      Frame::text(Msg::Error, frame.req_id,
-                                  frame.gsid,
-                                  std::string("unexpected ") +
-                                      msgName(frame.msg)),
-                      &conn->write_mu);
-            break;
         }
-    }
-
-    // Stop and join every lane before dropping the connection.
-    std::map<std::uint64_t, std::unique_ptr<Lane>> lanes;
-    {
-        std::lock_guard<std::mutex> lk(conn->lanes_mu);
-        lanes.swap(conn->lanes);
-        for (auto &[gsid, lane] : lanes) {
-            lane->stop = true;
-            lane->cv.notify_all();
-        }
-    }
-    for (auto &[gsid, lane] : lanes)
-        if (lane->thread.joinable())
-            lane->thread.join();
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    conns_.erase(conn);
-}
-
-void
-Worker::laneLoop(std::shared_ptr<Conn> conn, std::uint64_t gsid,
-                 Lane *lane)
-{
-    (void)gsid;
-    for (;;) {
-        Frame frame;
-        {
-            std::unique_lock<std::mutex> lk(conn->lanes_mu);
-            lane->cv.wait(lk, [lane] {
-                return lane->stop || !lane->q.empty();
-            });
-            if (lane->q.empty())
-                return; // stop and nothing left
-            frame = std::move(lane->q.front());
-            lane->q.pop_front();
-        }
-        handleLaneFrame(*conn, frame);
     }
 }
 
 void
-Worker::handleLaneFrame(Conn &conn, const Frame &frame)
+Worker::submit(const std::shared_ptr<Connection> &conn,
+               const Frame &frame)
 {
-    auto sendError = [&](const std::string &what) {
-        sendFrame(conn.fd.get(),
-                  Frame::text(Msg::Error, frame.req_id, frame.gsid,
-                              what),
-                  &conn.write_mu);
+    serve::WireRequest wreq = serve::decodeRequest(frame.body);
+    serve::Request req = serve::fromWire(wreq, program_->symbols());
+    // Auto-open: a submit to a shard this worker has never seen
+    // warm-starts it when state exists (failover) and creates it
+    // fresh otherwise.
+    std::shared_ptr<Shard> shard = openShard(frame.gsid, true);
+    auto reply = [conn, req_id = frame.req_id,
+                  gsid = frame.gsid](const serve::WireResponse &w) {
+        Frame out;
+        out.msg = Msg::Reply;
+        out.req_id = req_id;
+        out.gsid = gsid;
+        out.body = serve::encodeResponse(w);
+        sendFrame(conn->fd.get(), out, &conn->write_mu);
     };
-    try {
-        switch (frame.msg) {
-          case Msg::OpenShard: {
-            const bool restore =
-                !frame.body.empty() && frame.body[0] != 0;
-            Shard *shard = openShard(frame.gsid, restore);
-            sendFrame(conn.fd.get(),
-                      Frame::text(Msg::ShardInfo, frame.req_id,
-                                  frame.gsid,
-                                  shardInfoJson(frame.gsid, *shard)),
-                      &conn.write_mu);
-            break;
-          }
-          case Msg::DropShard:
-            dropShard(frame.gsid, conn, frame);
-            break;
-          case Msg::Submit: {
-            serve::WireRequest wreq =
-                serve::decodeRequest(frame.body);
-            serve::Request req =
-                serve::fromWire(wreq, program_->symbols());
-            // Auto-open: a submit to a shard this worker has never
-            // seen warm-starts it when state exists (failover) and
-            // creates it fresh otherwise.
-            Shard *shard = openShard(frame.gsid, true);
-            serve::WireResponse wresp;
-            serve::Submit sub =
-                shard->pool->submit(0, std::move(req));
-            if (!sub.accepted()) {
-                wresp = serve::rejectionResponse(wreq.kind,
-                                                 sub.rejected);
-            } else {
-                serve::Response resp = sub.response.get();
-                wresp = serve::toWire(resp);
-            }
-            Frame reply;
-            reply.msg = Msg::Reply;
-            reply.req_id = frame.req_id;
-            reply.gsid = frame.gsid;
-            reply.body = serve::encodeResponse(wresp);
-            sendFrame(conn.fd.get(), reply, &conn.write_mu);
-            break;
-          }
-          default: break; // unreachable: lane receives only these
-        }
-    } catch (const std::exception &e) {
-        sendError(e.what());
-    }
+    // The reply leaves from the pool's server thread, in the gsid's
+    // queue order; a rejection is answered from here, at once.
+    const serve::RejectReason why = shard->pool->submit(
+        0, std::move(req), [reply](serve::Response &&resp) {
+            reply(serve::toWire(resp));
+        });
+    if (why != serve::RejectReason::None)
+        reply(serve::rejectionResponse(wreq.kind, why));
 }
 
-Worker::Shard *
+std::shared_ptr<Worker::Shard>
 Worker::openShard(std::uint64_t gsid, bool restore)
 {
+    // Held across construction so one gsid never gets two pools (two
+    // WAL writers on one directory). A new pool has no requests yet,
+    // so nothing here can wait on a completion.
     std::lock_guard<std::mutex> lk(shards_mu_);
     auto it = shards_.find(gsid);
     if (it != shards_.end())
-        return it->second.get();
+        return it->second;
 
     if (on_open_shard)
         on_open_shard(gsid);
 
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_shared<Shard>();
     serve::PoolOptions po;
     po.n_sessions = 1;
     po.n_threads = 1;
@@ -448,15 +332,15 @@ Worker::openShard(std::uint64_t gsid, bool restore)
         if (ship_)
             shard->pool->checkpointAll();
     }
-    Shard *raw = shard.get();
-    shards_.emplace(gsid, std::move(shard));
-    return raw;
+    shards_.emplace(gsid, shard);
+    return shard;
 }
 
 void
-Worker::dropShard(std::uint64_t gsid, Conn &conn, const Frame &frame)
+Worker::dropShard(Connection &conn, const Frame &frame)
 {
-    std::unique_ptr<Shard> shard;
+    const std::uint64_t gsid = frame.gsid;
+    std::shared_ptr<Shard> shard;
     {
         std::lock_guard<std::mutex> lk(shards_mu_);
         auto it = shards_.find(gsid);
@@ -467,12 +351,12 @@ Worker::dropShard(std::uint64_t gsid, Conn &conn, const Frame &frame)
     }
     std::ostringstream info;
     if (shard) {
-        // drain() completes everything admitted and, with the
-        // default on_drain policy, checkpoints — the migration
-        // source's handoff snapshot.
+        // drain() returns once every admitted request's reply has
+        // left and, with the default on_drain policy, checkpoints —
+        // the migration source's handoff snapshot.
         shard->pool->drain();
         serve::SessionPool::Stats st = shard->pool->stats();
-        shard->pool.reset();
+        shard.reset();
         info << "{\"gsid\": " << gsid << ", \"dropped\": true"
              << ", \"completed\": " << st.completed << "}";
     } else {
@@ -482,6 +366,13 @@ Worker::dropShard(std::uint64_t gsid, Conn &conn, const Frame &frame)
               Frame::text(Msg::ShardInfo, frame.req_id, gsid,
                           info.str()),
               &conn.write_mu);
+}
+
+std::vector<std::pair<std::uint64_t, std::shared_ptr<Worker::Shard>>>
+Worker::shardList()
+{
+    std::lock_guard<std::mutex> lk(shards_mu_);
+    return {shards_.begin(), shards_.end()};
 }
 
 std::string
@@ -518,25 +409,22 @@ Worker::statsJson()
 {
     std::ostringstream os;
     os << "{\"worker_slot\": " << options_.slot << ", \"shards\": [";
-    {
-        std::lock_guard<std::mutex> lk(shards_mu_);
-        bool first = true;
-        for (const auto &[gsid, shard] : shards_) {
-            serve::SessionPool::Stats st = shard->pool->stats();
-            os << (first ? "" : ", ") << "{\"gsid\": " << gsid
-               << ", \"admitted\": " << st.admitted
-               << ", \"completed\": " << st.completed
-               << ", \"expired\": " << st.expired
-               << ", \"rejected_full\": " << st.rejected_full
-               << ", \"rejected_overload\": " << st.rejected_overload
-               << ", \"rejected_shutdown\": " << st.rejected_shutdown
-               << ", \"batches\": " << st.batches
-               << ", \"restored\": "
-               << (shard->restored ? "true" : "false")
-               << ", \"wal_records_replayed\": "
-               << shard->recovery.wal_records_replayed << "}";
-            first = false;
-        }
+    bool first = true;
+    for (const auto &[gsid, shard] : shardList()) {
+        serve::SessionPool::Stats st = shard->pool->stats();
+        os << (first ? "" : ", ") << "{\"gsid\": " << gsid
+           << ", \"admitted\": " << st.admitted
+           << ", \"completed\": " << st.completed
+           << ", \"expired\": " << st.expired
+           << ", \"rejected_full\": " << st.rejected_full
+           << ", \"rejected_overload\": " << st.rejected_overload
+           << ", \"rejected_shutdown\": " << st.rejected_shutdown
+           << ", \"batches\": " << st.batches
+           << ", \"restored\": "
+           << (shard->restored ? "true" : "false")
+           << ", \"wal_records_replayed\": "
+           << shard->recovery.wal_records_replayed << "}";
+        first = false;
     }
     ShipStats ship = shipStats();
     os << "], \"ship\": {\"connected\": "
@@ -558,38 +446,36 @@ Worker::metricsText()
     os << "# HELP psm_worker_shards Shards open on this worker.\n"
        << "# TYPE psm_worker_shards gauge\n"
        << "psm_worker_shards{slot=\"" << options_.slot << "\"} ";
+    const auto shards = shardList();
+    os << shards.size() << "\n";
+    struct Col
     {
-        std::lock_guard<std::mutex> lk(shards_mu_);
-        os << shards_.size() << "\n";
-        struct Col
-        {
-            const char *name;
-            const char *help;
-            std::uint64_t serve::SessionPool::Stats::*field;
-        };
-        static const Col cols[] = {
-            {"psm_worker_shard_admitted_total",
-             "Requests admitted per shard.",
-             &serve::SessionPool::Stats::admitted},
-            {"psm_worker_shard_completed_total",
-             "Responses delivered per shard.",
-             &serve::SessionPool::Stats::completed},
-            {"psm_worker_shard_expired_total",
-             "Deadline-expired completions per shard.",
-             &serve::SessionPool::Stats::expired},
-            {"psm_worker_shard_batches_total",
-             "Match batches committed per shard.",
-             &serve::SessionPool::Stats::batches},
-        };
-        for (const Col &col : cols) {
-            os << "# HELP " << col.name << " " << col.help << "\n"
-               << "# TYPE " << col.name << " counter\n";
-            for (const auto &[gsid, shard] : shards_) {
-                serve::SessionPool::Stats st = shard->pool->stats();
-                os << col.name << "{slot=\"" << options_.slot
-                   << "\",gsid=\"" << gsid << "\"} " << st.*(col.field)
-                   << "\n";
-            }
+        const char *name;
+        const char *help;
+        std::uint64_t serve::SessionPool::Stats::*field;
+    };
+    static const Col cols[] = {
+        {"psm_worker_shard_admitted_total",
+         "Requests admitted per shard.",
+         &serve::SessionPool::Stats::admitted},
+        {"psm_worker_shard_completed_total",
+         "Responses delivered per shard.",
+         &serve::SessionPool::Stats::completed},
+        {"psm_worker_shard_expired_total",
+         "Deadline-expired completions per shard.",
+         &serve::SessionPool::Stats::expired},
+        {"psm_worker_shard_batches_total",
+         "Match batches committed per shard.",
+         &serve::SessionPool::Stats::batches},
+    };
+    for (const Col &col : cols) {
+        os << "# HELP " << col.name << " " << col.help << "\n"
+           << "# TYPE " << col.name << " counter\n";
+        for (const auto &[gsid, shard] : shards) {
+            serve::SessionPool::Stats st = shard->pool->stats();
+            os << col.name << "{slot=\"" << options_.slot
+               << "\",gsid=\"" << gsid << "\"} " << st.*(col.field)
+               << "\n";
         }
     }
     ShipStats ship = shipStats();

@@ -9,13 +9,23 @@
  * IS recovery, dropping one with checkpoint IS the migration source
  * side.
  *
- * Connection model: thread per connection; within a connection, a
- * lane (queue + thread) per gsid. Requests for one session execute
- * and reply strictly in arrival order — the ordering the protocol
- * promises — while different sessions proceed in parallel. Control
- * messages (OpenShard/DropShard) ride the same lane as the gsid's
- * submits, so "every submit accepted before the drop completes" holds
- * by construction.
+ * Connection model: one thread per connection (ConnectionServer).
+ * That thread decodes each Submit and hands it straight to its
+ * shard's pool with a completion callback; the pool's server thread
+ * encodes the Reply and sends it under the connection's write lock.
+ * No thread waits per request, and a pipelined session's requests
+ * reach the pool together, so they fold into one match batch and
+ * one WAL sync. OpenShard and DropShard run on the connection thread
+ * itself (the router sends them one at a time and quiesces a gsid
+ * before dropping it); a drop drains the pool, which returns only
+ * after every accepted request's callback has run.
+ *
+ * Ordering: accepted requests of one gsid reply in arrival order —
+ * the session queue is a FIFO and the pool completes it in queue
+ * order. A typed admission rejection, or an Error for a frame that
+ * does not decode, is answered at once from the connection thread
+ * and may overtake replies still owed to the same gsid; clients that
+ * pipeline match replies by req_id.
  *
  * WAL shipping: when a standby endpoint is configured, every shard's
  * durable::Manager gets a WalShipSink that forwards committed frames
@@ -29,15 +39,13 @@
 #ifndef PSM_CLUSTER_WORKER_HPP
 #define PSM_CLUSTER_WORKER_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/protocol.hpp"
@@ -95,12 +103,9 @@ class Worker
     Worker &operator=(const Worker &) = delete;
 
     /** The bound listen port (after construction). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return server_.port(); }
 
-    /** Serves until stop(); blocking. */
-    void run();
-
-    /** run() on a background thread. */
+    /** Serves on background threads until stop(). */
     void start();
 
     /** Stops the accept loop, closes connections, drains shards. */
@@ -126,36 +131,28 @@ class Worker
     struct Shard;
     struct ShipChannel;
     class ShipSink;
-    struct Lane;
-    struct Conn;
 
-    void acceptLoop();
-    void serveConn(std::shared_ptr<Conn> conn);
-    void laneLoop(std::shared_ptr<Conn> conn, std::uint64_t gsid,
-                  Lane *lane);
-    void handleLaneFrame(Conn &conn, const Frame &frame);
-    Shard *openShard(std::uint64_t gsid, bool restore);
-    void dropShard(std::uint64_t gsid, Conn &conn,
-                   const Frame &frame);
+    void serveConn(const std::shared_ptr<Connection> &conn);
+    void submit(const std::shared_ptr<Connection> &conn,
+                const Frame &frame);
+    std::shared_ptr<Shard> openShard(std::uint64_t gsid,
+                                     bool restore);
+    void dropShard(Connection &conn, const Frame &frame);
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<Shard>>>
+    shardList();
     std::string shardInfoJson(std::uint64_t gsid, const Shard &shard);
     std::string statsJson();
     std::string metricsText();
 
     std::shared_ptr<const ops5::Program> program_;
     WorkerOptions options_;
-    Fd listen_fd_;
-    std::uint16_t port_ = 0;
 
     std::mutex shards_mu_;
-    std::map<std::uint64_t, std::unique_ptr<Shard>> shards_;
+    std::map<std::uint64_t, std::shared_ptr<Shard>> shards_;
 
     std::unique_ptr<ShipChannel> ship_;
 
-    std::mutex conns_mu_;
-    std::set<std::shared_ptr<Conn>> conns_;
-    std::vector<std::thread> conn_threads_;
-    std::thread accept_thread_;
-    std::atomic<bool> stopping_{false};
+    ConnectionServer server_; ///< last: its threads use the above
 };
 
 } // namespace psm::cluster

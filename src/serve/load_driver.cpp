@@ -127,10 +127,10 @@ runLoad(std::shared_ptr<const ops5::Program> program,
                         session, stamp_deadline(Request::makeRun(
                                      config.run_cycles)));
 
-                // ...then retract every handle the asserts produced
-                // (responses carry the handles, so settle them first).
-                std::vector<const ops5::Wme *> handles;
-                handles.reserve(asserts.size());
+                // ...then retract every element the asserts produced
+                // (responses carry the tags, so settle them first).
+                std::vector<ops5::TimeTag> tags;
+                tags.reserve(asserts.size());
                 for (Submit &sub : asserts) {
                     if (!sub.accepted()) {
                         ++tally.rejected;
@@ -141,17 +141,17 @@ runLoad(std::shared_ptr<const ops5::Program> program,
                         static_cast<std::uint64_t>(
                             std::max<std::int64_t>(
                                 resp.latency.count(), 0)));
-                    if (!resp.deadline_expired && resp.wme) {
-                        handles.push_back(resp.wme);
+                    if (!resp.deadline_expired && resp.tag != 0) {
+                        tags.push_back(resp.tag);
                         ++tally.wm_ops;
                     }
                 }
                 std::vector<Submit> retracts;
-                retracts.reserve(handles.size());
-                for (const ops5::Wme *w : handles)
+                retracts.reserve(tags.size());
+                for (ops5::TimeTag tag : tags)
                     retracts.push_back(pool.submit(
                         session,
-                        stamp_deadline(Request::makeRetract(w))));
+                        stamp_deadline(Request::makeRetractTag(tag))));
                 for (Submit &sub : retracts)
                     if (settle(sub))
                         ++tally.wm_ops;

@@ -7,7 +7,7 @@
  *
  * Each client is bound to one session and plays a fixed iteration:
  * a burst of asserts, optionally a Run, then retracts of the burst's
- * handles — the assert/retract pairing keeps working-memory size
+ * elements by tag — the assert/retract pairing keeps working-memory size
  * stable so a sweep's later points measure the same match state as
  * its first. Latencies are recorded exactly (client-side, per
  * response) and percentiles computed from the sorted sample, while

@@ -3,12 +3,13 @@
  * Request/response types of the serving layer.
  *
  * A request is one external operation against one session's working
- * memory: assert a WME, retract a previously asserted WME, or run
+ * memory: assert a WME, retract a live WME by its time tag, or run
  * recognize-act cycles. Admission is synchronous and typed — a submit
- * either hands back a future for the eventual Response or a
- * RejectReason, never an unbounded queue — and every request may
- * carry a wall-clock deadline that both drops it if it expires while
- * queued and (for Run) stops the engine mid-run.
+ * either accepts the request, whose Response later reaches a
+ * Completion callback (or a future), or returns a RejectReason, never
+ * an unbounded queue — and every request may carry a wall-clock
+ * deadline that both drops it if it expires while queued and (for
+ * Run) stops the engine mid-run.
  */
 
 #ifndef PSM_SERVE_REQUEST_HPP
@@ -16,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <vector>
 
@@ -50,11 +52,9 @@ struct Request
     ops5::SymbolId cls{};
     std::vector<ops5::Value> fields;
 
-    // Retract payload: a handle from a previous Assert Response —
-    // either the pointer form (in-process callers) or the time-tag
-    // form (remote callers; resolved on the session's server thread,
-    // the only thread that may touch working memory).
-    const ops5::Wme *wme = nullptr;
+    // Retract payload: the time tag of a live element — usually one
+    // an Assert Response returned. Resolved on the session's server
+    // thread, the only thread that may touch working memory.
     ops5::TimeTag tag = 0;
 
     // Run payload: firing budget (0 = pool default).
@@ -81,17 +81,8 @@ struct Request
         return r;
     }
 
-    static Request
-    makeRetract(const ops5::Wme *wme)
-    {
-        Request r;
-        r.kind = RequestKind::Retract;
-        r.wme = wme;
-        return r;
-    }
-
-    /** Retract by time tag — the only safe handle form for callers
-     *  in another process (pointers do not travel; tags do). */
+    /** Retract by time tag. Tags are never reused, so a stale,
+     *  repeated or foreign tag is a safe no-op. */
     static Request
     makeRetractTag(ops5::TimeTag tag)
     {
@@ -116,17 +107,13 @@ struct Response
 {
     RequestKind kind = RequestKind::Assert;
 
-    /** Assert: the element handle (retract it with makeRetract).
-     *  Valid until successfully retracted or removed by a firing. */
-    const ops5::Wme *wme = nullptr;
-
-    /** Assert: the element's time tag — the process-independent form
-     *  of the handle, used by remote clients (the cluster wire
-     *  protocol retracts by tag, never by pointer). */
+    /** Assert: the element's time tag, the handle to retract it
+     *  with (makeRetractTag). It stays valid across processes,
+     *  migration and recovery. Retract: the tag, when it was live. */
     ops5::TimeTag tag = 0;
 
     /** Retract: true when the element was live and is now gone;
-     *  false for a stale/repeated/foreign handle (a safe no-op). */
+     *  false for a stale/repeated/foreign tag (a safe no-op). */
     bool retracted = false;
 
     /** Run: the engine's cycle/firing/halt outcome. */
@@ -140,6 +127,11 @@ struct Response
     /** Submit-to-response latency measured by the serving thread. */
     std::chrono::microseconds latency{0};
 };
+
+/** Receives one admitted request's Response, on a server thread.
+ *  Must not throw and must not call back into the same pool's
+ *  drain(). */
+using Completion = std::function<void(Response &&)>;
 
 /** Result of SessionPool::submit: a typed rejection or a future. */
 struct Submit

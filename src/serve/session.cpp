@@ -86,17 +86,11 @@ Session::Session(std::size_t id,
         durable_->begin();
     }
     // A recovered session already holds its working memory; loading
-    // the program's initial WM on top would double it. Re-admit every
-    // recovered element as a retractable handle: a migrated or failed-
-    // over client holds tags from the previous incarnation, and those
-    // must stay valid retract targets here.
-    if (!recovery_.recovered) {
+    // the program's initial WM on top would double it. Recovery keeps
+    // every element's time tag, so tags a migrated or failed-over
+    // client took from the previous incarnation still retract here.
+    if (!recovery_.recovered)
         engine_->loadInitialWorkingMemory();
-    } else {
-        for (const ops5::Wme *w :
-             engine_->workingMemory().liveElements())
-            handles.emplace(w, w->timeTag());
-    }
 }
 
 } // namespace psm::serve

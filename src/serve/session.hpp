@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "core/engine.hpp"
 #include "core/matcher.hpp"
@@ -64,7 +63,7 @@ const char *matcherKindName(MatcherSpec::Kind kind);
  *
  * Thread roles: any client thread may touch `queue` (under `mu`);
  * only the single server thread currently draining the session may
- * touch the engine, the matcher, and `handles`.
+ * touch the engine and the matcher.
  */
 class Session
 {
@@ -104,7 +103,7 @@ class Session
     struct Pending
     {
         Request req;
-        std::promise<Response> promise;
+        Completion done; ///< run once, in queue order
         ServeClock::time_point enqueued;
     };
 
@@ -128,16 +127,6 @@ class Session
     /** True while the session sits in the pool's ready list or a
      *  server thread is draining it — never both places at once. */
     bool scheduled = false;
-
-    /**
-     * Live external handles: WME -> time tag, server thread only.
-     * Retracts are validated against this map (via the tag, without
-     * dereferencing the handle) so stale pointers — repeated
-     * retracts, or elements a rule firing already removed and the
-     * engine freed — are answered `retracted=false` instead of
-     * touching dead memory.
-     */
-    std::unordered_map<const ops5::Wme *, ops5::TimeTag> handles;
 
   private:
     std::size_t id_;

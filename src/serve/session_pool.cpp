@@ -107,15 +107,28 @@ SessionPool::checkpointAll()
 Submit
 SessionPool::submit(std::size_t session, Request req)
 {
+    auto promise = std::make_shared<std::promise<Response>>();
     Submit out;
+    std::future<Response> response = promise->get_future();
+    out.rejected = submit(session, std::move(req),
+                          [promise](Response &&resp) {
+                              promise->set_value(std::move(resp));
+                          });
+    if (out.accepted())
+        out.response = std::move(response);
+    return out;
+}
+
+RejectReason
+SessionPool::submit(std::size_t session, Request req, Completion done)
+{
     if (session >= sessions_.size()) {
         obs::flightRecord(
             obs::FlightEvent::AdmissionReject,
             static_cast<std::uint32_t>(session),
             static_cast<std::uint64_t>(req.kind),
             static_cast<std::uint64_t>(RejectReason::BadSession));
-        out.rejected = RejectReason::BadSession;
-        return out;
+        return RejectReason::BadSession;
     }
 
     // Admission vs drain: the pending_ increment and the accepting_
@@ -124,35 +137,25 @@ SessionPool::submit(std::size_t session, Request req)
     // where drain misses the request AND the request passes admission
     // (the classic store/load reordering).
     pending_.fetch_add(1, std::memory_order_seq_cst);
-    auto release_pending = [this] {
-        if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-            std::lock_guard<std::mutex> lk(ready_mu_);
-            drained_cv_.notify_all();
-        }
-    };
 
     auto reject = [&](RejectReason why,
                       std::atomic<std::uint64_t> &slot) {
-        release_pending();
+        releasePending();
         slot.fetch_add(1, std::memory_order_relaxed);
         metrics_.count(0, telemetry::Counter::ServeRejected);
         obs::flightRecord(obs::FlightEvent::AdmissionReject,
                           static_cast<std::uint32_t>(session),
                           static_cast<std::uint64_t>(req.kind),
                           static_cast<std::uint64_t>(why));
-        out.rejected = why;
+        return why;
     };
 
-    if (!accepting_.load(std::memory_order_seq_cst)) {
-        reject(RejectReason::ShuttingDown, n_rej_shutdown_);
-        return out;
-    }
+    if (!accepting_.load(std::memory_order_seq_cst))
+        return reject(RejectReason::ShuttingDown, n_rej_shutdown_);
     if (options_.shed_watermark != 0 &&
         pending_.load(std::memory_order_relaxed) >
-            options_.shed_watermark) {
-        reject(RejectReason::Overloaded, n_rej_overload_);
-        return out;
-    }
+            options_.shed_watermark)
+        return reject(RejectReason::Overloaded, n_rej_overload_);
 
     Session &s = *sessions_[session];
     const RequestKind kind = req.kind;
@@ -160,14 +163,9 @@ SessionPool::submit(std::size_t session, Request req)
     std::size_t depth = 0;
     {
         std::lock_guard<std::mutex> lk(s.mu);
-        if (s.queue.size() >= options_.queue_capacity) {
-            // Unlock before the shared-state updates in reject().
-        } else {
-            Session::Pending p;
-            p.req = std::move(req);
-            p.enqueued = ServeClock::now();
-            out.response = p.promise.get_future();
-            s.queue.push_back(std::move(p));
+        if (s.queue.size() < options_.queue_capacity) {
+            s.queue.push_back(Session::Pending{
+                std::move(req), std::move(done), ServeClock::now()});
             depth = s.queue.size();
             if (!s.scheduled) {
                 s.scheduled = true;
@@ -175,10 +173,9 @@ SessionPool::submit(std::size_t session, Request req)
             }
         }
     }
-    if (depth == 0) {
-        reject(RejectReason::QueueFull, s.live.rejected_full);
-        return out;
-    }
+    // Rejected outside s.mu: reject() touches shared state.
+    if (depth == 0)
+        return reject(RejectReason::QueueFull, s.live.rejected_full);
 
     s.live.admitted.fetch_add(1, std::memory_order_relaxed);
     metrics_.count(0, telemetry::Counter::ServeAdmitted);
@@ -192,7 +189,16 @@ SessionPool::submit(std::size_t session, Request req)
         ready_.push_back(session);
         ready_cv_.notify_one();
     }
-    return out;
+    return RejectReason::None;
+}
+
+void
+SessionPool::releasePending()
+{
+    if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+        std::lock_guard<std::mutex> lk(ready_mu_);
+        drained_cv_.notify_all();
+    }
 }
 
 void
@@ -323,12 +329,8 @@ SessionPool::completeOne(Session &s, Session::Pending &p,
             std::max<std::int64_t>(resp.latency.count(), 0)));
     metrics_.count(shard, telemetry::Counter::ServeCompleted);
     s.live.completed.fetch_add(1, std::memory_order_relaxed);
-    p.promise.set_value(std::move(resp));
-
-    if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-        std::lock_guard<std::mutex> lk(ready_mu_);
-        drained_cv_.notify_all();
-    }
+    p.done(std::move(resp));
+    releasePending();
 }
 
 void
@@ -358,13 +360,15 @@ SessionPool::drainSession(Session &s, std::size_t shard)
     // insert/remove pair racing inside one parallel batch.
     std::unordered_set<const ops5::Wme *> staged;
 
-    // Responses owed once the staged batch commits (their WM effect
-    // is not matched until then).
+    // Responses owed, in queue order: an assert's or retract's WM
+    // effect is not matched until the staged batch commits, and a
+    // request answered without touching the batch still waits its
+    // turn, so completions never overtake each other.
     std::vector<std::pair<Session::Pending *, Response>> deferred;
 
     auto flush = [&] {
         if (!wm_batch.empty()) {
-            const std::size_t committed = deferred.size();
+            const std::size_t committed = wm_batch.size();
             wm_batch.commit();
             s.live.batches.fetch_add(1, std::memory_order_relaxed);
             metrics_.count(shard, telemetry::Counter::ServeBatches);
@@ -390,7 +394,7 @@ SessionPool::drainSession(Session &s, std::size_t shard)
             Response resp;
             resp.kind = p.req.kind;
             resp.deadline_expired = true;
-            completeOne(s, p, std::move(resp), shard);
+            deferred.emplace_back(&p, std::move(resp));
             continue;
         }
         switch (p.req.kind) {
@@ -398,12 +402,8 @@ SessionPool::drainSession(Session &s, std::size_t shard)
             const ops5::Wme *w =
                 wm_batch.insert(p.req.cls, std::move(p.req.fields));
             staged.insert(w);
-            // Overwrite, never keep: an entry left behind by an element
-            // a firing removed may sit at this reused address.
-            s.handles.insert_or_assign(w, w->timeTag());
             Response resp;
             resp.kind = RequestKind::Assert;
-            resp.wme = w;
             resp.tag = w->timeTag();
             deferred.emplace_back(&p, std::move(resp));
             break;
@@ -411,31 +411,16 @@ SessionPool::drainSession(Session &s, std::size_t shard)
           case RequestKind::Retract: {
             Response resp;
             resp.kind = RequestKind::Retract;
-            // Tag-form handles (remote callers) resolve here, on the
-            // server thread — the only thread that may read working
-            // memory while batches commit.
-            if (p.req.wme == nullptr && p.req.tag != 0)
-                p.req.wme =
-                    eng.workingMemory().findByTag(p.req.tag);
-            auto it = s.handles.find(p.req.wme);
-            // Validate through the recorded time tag, never through
-            // the caller's pointer: a stale handle (repeated retract,
-            // or an element a firing already removed) may point at
-            // freed memory.
-            if (it == s.handles.end() ||
-                eng.workingMemory().findByTag(it->second) !=
-                    p.req.wme) {
-                if (it != s.handles.end())
-                    s.handles.erase(it);
-                resp.retracted = false;
-                completeOne(s, p, std::move(resp), shard);
-                break;
+            // Tags are never reused: a repeated retract, or one of an
+            // element a firing already removed, finds nothing here
+            // and answers retracted=false.
+            if (const ops5::Wme *w =
+                    eng.workingMemory().findByTag(p.req.tag)) {
+                if (staged.count(w) != 0)
+                    flush();
+                resp.tag = p.req.tag;
+                resp.retracted = wm_batch.remove(w);
             }
-            if (staged.count(p.req.wme) != 0)
-                flush();
-            resp.tag = it->second;
-            resp.retracted = wm_batch.remove(p.req.wme);
-            s.handles.erase(p.req.wme);
             deferred.emplace_back(&p, std::move(resp));
             break;
           }

@@ -7,9 +7,15 @@
  *
  * Design:
  *  - Every session has a bounded FIFO request queue. submit() is the
- *    ONLY admission point and is typed: it returns a future for the
- *    eventual Response or a RejectReason (queue full, pool past its
- *    shed watermark, shutting down). Nothing queues unboundedly.
+ *    ONLY admission point and is typed: it accepts the request or
+ *    returns a RejectReason (queue full, pool past its shed
+ *    watermark, shutting down). Nothing queues unboundedly.
+ *  - Completion is one primitive: an accepted request's Completion
+ *    callback runs exactly once, on the server thread that executed
+ *    it, and one session's callbacks run in its queue order. The
+ *    future form of submit() is a thin wrapper that fulfils a
+ *    promise from that callback; the cluster worker sends its wire
+ *    reply from it instead, so no thread waits per request.
  *  - Server threads take whole sessions, not single requests, off a
  *    ready list; a session is drained by at most one thread at a
  *    time, so engines need no locks. Draining folds contiguous
@@ -127,9 +133,16 @@ class SessionPool
 
     /**
      * Admits @p req into @p session's queue or rejects it. Safe from
-     * any thread. On acceptance the Response arrives through
-     * Submit::response once a server thread has executed the request.
+     * any thread. On acceptance (RejectReason::None) @p done runs
+     * exactly once, on a server thread, after every earlier request
+     * of the session has completed, and before drain() can return. A
+     * rejected request never calls @p done.
      */
+    RejectReason submit(std::size_t session, Request req,
+                        Completion done);
+
+    /** The same admission, with the Response delivered through
+     *  Submit::response. */
     Submit submit(std::size_t session, Request req);
 
     /** Spawns the server threads (idempotent). */
@@ -223,6 +236,9 @@ class SessionPool
 
     void completeOne(Session &s, Session::Pending &p,
                      Response &&resp, std::size_t shard);
+
+    /** Releases one pending_ slot; wakes drain() at zero. */
+    void releasePending();
 
     std::shared_ptr<const ops5::Program> program_;
     PoolOptions options_;

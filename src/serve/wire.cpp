@@ -104,31 +104,6 @@ WireValue::resolve(const ops5::SymbolTable &syms) const
     throw WireError("wire value has unknown kind");
 }
 
-WireRequest
-toWire(const Request &req, const ops5::SymbolTable &syms,
-       ops5::TimeTag retract_tag)
-{
-    WireRequest w;
-    w.kind = req.kind;
-    switch (req.kind) {
-      case RequestKind::Assert:
-        w.cls = syms.name(req.cls);
-        w.fields.reserve(req.fields.size());
-        for (const ops5::Value &v : req.fields)
-            w.fields.push_back(WireValue::of(v, syms));
-        break;
-      case RequestKind::Retract: w.tag = retract_tag; break;
-      case RequestKind::Run: w.max_cycles = req.max_cycles; break;
-    }
-    if (req.hasDeadline()) {
-        auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-            req.deadline - ServeClock::now());
-        w.deadline_us = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(left.count(), 1));
-    }
-    return w;
-}
-
 Request
 fromWire(const WireRequest &w, const ops5::SymbolTable &syms)
 {

@@ -2,11 +2,10 @@
  * @file
  * Process-independent request/response codec for remote serving.
  *
- * The in-process serve types carry two things that cannot cross a
- * process boundary: interned SymbolId values (table order differs
- * between processes) and `const Wme *` handles. The wire forms fix
- * both: symbols travel by NAME and element handles travel by time
- * tag. On the worker side symbols are resolved with
+ * The in-process serve types carry interned SymbolId values, which
+ * cannot cross a process boundary (table order differs between
+ * processes). The wire forms carry symbols by NAME instead; element
+ * handles are time tags in both forms. On the worker side symbols are resolved with
  * SymbolTable::find() and never interned — an unknown symbol is a
  * typed rejection, not a new table entry — so the worker's table
  * stays exactly the program's table and snapshot/WAL recovery's
@@ -98,18 +97,12 @@ struct WireResponse
     bool accepted() const { return rejected == RejectReason::None; }
 };
 
-/** Lifts an in-process Request (resolving the deadline to remaining
- *  budget now, and the retract handle via @p retract_tag since the
- *  pointer form cannot travel). */
-WireRequest toWire(const Request &req, const ops5::SymbolTable &syms,
-                   ops5::TimeTag retract_tag = 0);
-
 /**
  * Lowers a wire request to the in-process form against @p syms.
  * Symbols resolve with find() only — WireError on any name the
- * program never interned. A retract keeps its tag form (req.wme
- * stays null); the session's server thread resolves tag→element. A
- * nonzero deadline_us re-anchors to `ServeClock::now() + deadline_us`.
+ * program never interned. A retract keeps its tag; the session's
+ * server thread resolves tag→element. A nonzero deadline_us
+ * re-anchors to `ServeClock::now() + deadline_us`.
  */
 Request fromWire(const WireRequest &w, const ops5::SymbolTable &syms);
 

@@ -3,7 +3,8 @@
  * Cluster-layer tests: consistent-hash ring placement, the wire
  * codec across symbol tables, protocol frame integrity, and an
  * in-process end-to-end cluster (workers + standby + router) —
- * serving, live migration, and EOF-driven failover to the standby.
+ * serving, live migration, and EOF-driven failover to the standby —
+ * plus direct clients pipelining into one worker.
  */
 
 #include <gtest/gtest.h>
@@ -358,8 +359,8 @@ TEST(Cluster, LiveMigrationKeepsHandlesAndOrdering)
         << info;
 
     // Handles taken on the source worker must resolve on the target:
-    // tags are process-independent and restore rebuilds the handle
-    // map from recovered working memory.
+    // tags are process-independent and recovery keeps every
+    // element's tag.
     for (ops5::TimeTag t : tags) {
         serve::WireRequest retract;
         retract.kind = serve::RequestKind::Retract;
@@ -437,6 +438,147 @@ TEST(Cluster, StandbyReplicatesFramesAndSnapshots)
     EXPECT_GE(reps[0].snapshots_installed, 1u);
     EXPECT_FALSE(reps[0].lagging);
     EXPECT_EQ(reps[0].gap_drops, 0u);
+}
+
+/** Pulls the first unsigned member @p key out of flat stats JSON. */
+std::uint64_t
+jsonUint(const std::string &text, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    auto at = text.find(needle);
+    if (at == std::string::npos)
+        return 0;
+    at += needle.size();
+    std::uint64_t v = 0;
+    while (at < text.size() && text[at] >= '0' && text[at] <= '9')
+        v = v * 10 + static_cast<std::uint64_t>(text[at++] - '0');
+    return v;
+}
+
+/** One worker without durability, for direct-client tests. */
+std::unique_ptr<Worker>
+startWorker(const std::shared_ptr<const ops5::Program> &program,
+            std::size_t queue_capacity = 1024)
+{
+    WorkerOptions wo;
+    wo.queue_capacity = queue_capacity;
+    auto w = std::make_unique<Worker>(program, wo);
+    w->start();
+    return w;
+}
+
+TEST(Cluster, PipelinedSubmitsReplyInOrderAndShareBatches)
+{
+    auto program = ops5::parse(kJobs);
+    auto worker = startWorker(program);
+    Client client("127.0.0.1", worker->port());
+    constexpr std::uint64_t kGsid = 7;
+    constexpr int kN = 64;
+
+    std::vector<std::uint64_t> sent;
+    for (int i = 0; i < kN; ++i)
+        sent.push_back(client.sendSubmit(kGsid, wireAssert(i)));
+    ops5::TimeTag last_tag = 0;
+    for (int i = 0; i < kN; ++i) {
+        Client::Reply r = client.readReply();
+        ASSERT_FALSE(r.error) << r.error_text;
+        ASSERT_TRUE(r.resp.accepted());
+        EXPECT_EQ(r.req_id, sent[static_cast<std::size_t>(i)])
+            << "replies of one gsid leave in send order";
+        EXPECT_GT(r.resp.tag, last_tag);
+        last_tag = r.resp.tag;
+    }
+
+    // The connection thread hands requests straight to the pool, so a
+    // pipelined session's asserts fold into shared match batches.
+    const std::string stats = client.scrape(0, ScrapeKind::StatsJson);
+    EXPECT_EQ(jsonUint(stats, "completed"),
+              static_cast<std::uint64_t>(kN))
+        << stats;
+    EXPECT_LT(jsonUint(stats, "batches"), jsonUint(stats, "completed"))
+        << stats;
+}
+
+TEST(Cluster, QueueFullRejectionsCarryTheirReqId)
+{
+    auto program = ops5::parse(kJobs);
+    auto worker = startWorker(program, /*queue_capacity=*/1);
+    Client client("127.0.0.1", worker->port());
+    constexpr std::uint64_t kGsid = 3;
+    constexpr int kN = 32;
+
+    std::set<std::uint64_t> outstanding;
+    for (int i = 0; i < kN; ++i)
+        outstanding.insert(client.sendSubmit(kGsid, wireAssert(i)));
+    std::uint64_t rejected = 0;
+    std::uint64_t last_accepted = 0;
+    for (int i = 0; i < kN; ++i) {
+        Client::Reply r = client.readReply();
+        ASSERT_FALSE(r.error) << r.error_text;
+        ASSERT_EQ(outstanding.erase(r.req_id), 1u)
+            << "reply " << r.req_id << " matches no request in flight";
+        if (r.resp.accepted()) {
+            EXPECT_GT(r.req_id, last_accepted)
+                << "accepted requests reply in send order";
+            last_accepted = r.req_id;
+        } else {
+            EXPECT_EQ(r.resp.rejected, serve::RejectReason::QueueFull);
+            ++rejected;
+        }
+    }
+    EXPECT_TRUE(outstanding.empty());
+    EXPECT_GE(rejected, 1u)
+        << "a one-slot queue must refuse part of a pipelined burst";
+    const std::string stats = client.scrape(0, ScrapeKind::StatsJson);
+    EXPECT_EQ(jsonUint(stats, "rejected_full"), rejected) << stats;
+}
+
+TEST(Cluster, DisconnectWithRequestsInFlightKeepsWorkerServing)
+{
+    auto program = ops5::parse(kJobs);
+    auto worker = startWorker(program);
+    constexpr std::uint64_t kGsid = 11;
+    constexpr std::uint64_t kN = 32;
+
+    {
+        Client gone("127.0.0.1", worker->port());
+        for (std::uint64_t i = 0; i < kN; ++i)
+            gone.sendSubmit(kGsid, wireAssert(static_cast<int>(i)));
+        // A frame that does not decode is answered at once by the
+        // connection thread, after it has submitted everything sent
+        // before it; replies to those may still be owed.
+        serve::WireRequest bad = wireAssert(0);
+        bad.cls = "no-such-class";
+        gone.sendSubmit(kGsid, bad);
+        for (;;) {
+            Client::Reply r = gone.readReply();
+            if (r.error)
+                break;
+        }
+    } // disconnects
+
+    Client client("127.0.0.1", worker->port());
+    std::string stats;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    do {
+        stats = client.scrape(0, ScrapeKind::StatsJson);
+    } while (jsonUint(stats, "completed") < kN &&
+             std::chrono::steady_clock::now() < deadline);
+    ASSERT_EQ(jsonUint(stats, "admitted"), kN) << stats;
+    ASSERT_EQ(jsonUint(stats, "completed"), kN) << stats;
+
+    // The new connection sees every assert: each job fires once.
+    serve::WireRequest run;
+    run.kind = serve::RequestKind::Run;
+    run.max_cycles = 1000;
+    Client::Reply rr = client.submit(kGsid, run);
+    ASSERT_FALSE(rr.error) << rr.error_text;
+    EXPECT_EQ(rr.resp.run.firings, kN);
+
+    Client::Reply more = client.submit(kGsid, wireAssert(99));
+    ASSERT_FALSE(more.error) << more.error_text;
+    EXPECT_TRUE(more.resp.accepted());
 }
 
 } // namespace

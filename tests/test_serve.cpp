@@ -2,7 +2,8 @@
  * @file
  * Serving-layer tests: admission control (typed rejections, load
  * shedding), request batching, deadlines (queued and mid-run),
- * graceful drain/shutdown, stale-handle safety, and multi-session
+ * graceful drain/shutdown, stale-tag safety, in-order completion,
+ * and multi-session
  * pools over the parallel matcher.
  *
  * Determinism trick used throughout: a pool built with
@@ -16,22 +17,12 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "ops5/parser.hpp"
 #include "serve/serve.hpp"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define PSM_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PSM_TEST_ASAN 1
-#endif
-#endif
-#ifndef PSM_TEST_ASAN
-#define PSM_TEST_ASAN 0
-#endif
 
 using namespace psm;
 using namespace psm::serve;
@@ -86,7 +77,7 @@ TEST(ServeTest, BatchingFoldsRequestsIntoFewFixpoints)
     for (Submit &s : subs) {
         Response r = s.response.get();
         EXPECT_EQ(r.kind, RequestKind::Assert);
-        EXPECT_NE(r.wme, nullptr);
+        EXPECT_NE(r.tag, 0u);
         EXPECT_FALSE(r.deadline_expired);
     }
     SessionPool::Stats st = pool.stats();
@@ -129,7 +120,7 @@ TEST(ServeTest, QueueFullRejectionIsTyped)
     pool.start();
     pool.drain();
     for (Submit &s : subs)
-        EXPECT_NE(s.response.get().wme, nullptr);
+        EXPECT_NE(s.response.get().tag, 0u);
     SessionPool::Stats st = pool.stats();
     EXPECT_EQ(st.admitted, 4u);
     EXPECT_EQ(st.completed, 4u);
@@ -155,8 +146,8 @@ TEST(ServeTest, OverloadSheddingAtWatermark)
     EXPECT_EQ(shed.rejected, RejectReason::Overloaded);
 
     pool.drain(); // also exercises drain-before-start
-    EXPECT_NE(a.response.get().wme, nullptr);
-    EXPECT_NE(b.response.get().wme, nullptr);
+    EXPECT_NE(a.response.get().tag, 0u);
+    EXPECT_NE(b.response.get().tag, 0u);
     SessionPool::Stats st = pool.stats();
     EXPECT_EQ(st.rejected_overload, 1u);
     EXPECT_EQ(pool.metrics().total(telemetry::Counter::ServeRejected),
@@ -194,7 +185,7 @@ TEST(ServeTest, DeadlineExpiredInQueueSkipsExecution)
 
     Response r = expired.response.get();
     EXPECT_TRUE(r.deadline_expired);
-    EXPECT_EQ(r.wme, nullptr) << "expired requests must not execute";
+    EXPECT_EQ(r.tag, 0u) << "expired requests must not execute";
     EXPECT_FALSE(fresh.response.get().deadline_expired);
     SessionPool::Stats st = pool.stats();
     EXPECT_EQ(st.completed, 2u);
@@ -256,7 +247,7 @@ TEST(ServeTest, DrainCompletesAcceptedThenRejectsNew)
     EXPECT_FALSE(pool.accepting());
     for (Submit &s : subs) {
         ASSERT_TRUE(s.accepted());
-        EXPECT_NE(s.response.get().wme, nullptr)
+        EXPECT_NE(s.response.get().tag, 0u)
             << "every accepted request completes during drain";
     }
 
@@ -274,18 +265,18 @@ TEST(ServeTest, RetractDuringDrainAndRepeatedRetract)
     auto prog = jobsProgram();
     SessionPool pool(prog, {});
 
-    // Assert a done-class element no rule consumes, so the handle
-    // stays live until we retract it.
+    // Assert a done-class element no rule consumes, so the tag stays
+    // live until we retract it.
     Submit a = pool.submit(
         0, Request::makeAssert(prog->symbols().find("done"),
                                {ops5::Value::integer(1)}));
     ASSERT_TRUE(a.accepted());
-    const ops5::Wme *handle = a.response.get().wme;
-    ASSERT_NE(handle, nullptr);
+    const ops5::TimeTag tag = a.response.get().tag;
+    ASSERT_NE(tag, 0u);
 
     // Retract submitted immediately before drain: drain must execute
     // it, not strand it.
-    Submit r1 = pool.submit(0, Request::makeRetract(handle));
+    Submit r1 = pool.submit(0, Request::makeRetractTag(tag));
     ASSERT_TRUE(r1.accepted());
     pool.drain();
     EXPECT_TRUE(r1.response.get().retracted);
@@ -300,22 +291,19 @@ TEST(ServeTest, RepeatedRetractIsSafeNoOp)
     Submit a = pool.submit(
         0, Request::makeAssert(prog->symbols().find("done"),
                                {ops5::Value::integer(1)}));
-    const ops5::Wme *handle = a.response.get().wme;
-    ASSERT_NE(handle, nullptr);
+    const ops5::TimeTag tag = a.response.get().tag;
+    ASSERT_NE(tag, 0u);
 
-    Submit r1 = pool.submit(0, Request::makeRetract(handle));
+    Submit r1 = pool.submit(0, Request::makeRetractTag(tag));
     EXPECT_TRUE(r1.response.get().retracted);
 
-    // The element is freed by now (batch commit collects garbage);
-    // a repeated retract of the dead pointer must answer false, not
-    // touch the memory.
-    Submit r2 = pool.submit(0, Request::makeRetract(handle));
+    // The element is gone by now; a repeated retract of its tag must
+    // answer false.
+    Submit r2 = pool.submit(0, Request::makeRetractTag(tag));
     EXPECT_FALSE(r2.response.get().retracted);
 
-    // A pointer the pool never issued is equally safe.
-    ops5::Wme foreign(prog->symbols().find("done"), 12345,
-                      {ops5::Value::integer(9)});
-    Submit r3 = pool.submit(0, Request::makeRetract(&foreign));
+    // A tag the pool never issued is equally safe.
+    Submit r3 = pool.submit(0, Request::makeRetractTag(12345));
     EXPECT_FALSE(r3.response.get().retracted);
 }
 
@@ -325,21 +313,21 @@ TEST(ServeTest, RetractConsumedByFiringIsRefused)
     SessionPool pool(prog, {});
 
     Submit a = pool.submit(0, assertJob(prog, 1));
-    const ops5::Wme *handle = a.response.get().wme;
-    ASSERT_NE(handle, nullptr);
+    const ops5::TimeTag tag = a.response.get().tag;
+    ASSERT_NE(tag, 0u);
 
     // The Run consumes the job (its rule removes it).
     Submit run = pool.submit(0, Request::makeRun(10));
     EXPECT_EQ(run.response.get().run.firings, 1u);
 
-    Submit r = pool.submit(0, Request::makeRetract(handle));
+    Submit r = pool.submit(0, Request::makeRetractTag(tag));
     EXPECT_FALSE(r.response.get().retracted)
         << "firing already removed the element";
 }
 
 TEST(ServeTest, AssertAndRetractNeverShareAMatchBatch)
 {
-    // An assert's handle only reaches the client AFTER its match
+    // An assert's tag only reaches the client AFTER its match
     // batch commits (responses are deferred to the flush), so a
     // retract referencing it always lands in a LATER batch — the
     // matcher can never see a conjugate insert+remove pair racing
@@ -355,8 +343,8 @@ TEST(ServeTest, AssertAndRetractNeverShareAMatchBatch)
     ASSERT_TRUE(a.accepted());
 
     std::thread retractor([&] {
-        const ops5::Wme *handle = a.response.get().wme;
-        Submit r = pool.submit(0, Request::makeRetract(handle));
+        const ops5::TimeTag tag = a.response.get().tag;
+        Submit r = pool.submit(0, Request::makeRetractTag(tag));
         ASSERT_TRUE(r.accepted());
         EXPECT_TRUE(r.response.get().retracted);
     });
@@ -370,39 +358,80 @@ TEST(ServeTest, AssertAndRetractNeverShareAMatchBatch)
 
 TEST(ServeTest, RetractAtReusedAddressOfConsumedElement)
 {
-    // A firing removes an element behind the pool's back, so its
-    // handle entry goes stale. When a later assert lands at the same
-    // (reused) address, the handle must track the NEW element: its
-    // retract has to succeed, not be refused as stale.
-    if (PSM_TEST_ASAN)
-        GTEST_SKIP() << "AddressSanitizer quarantines freed blocks, so "
-                        "the consumed element's address is never reused";
+    // A firing removes an element behind the pool's back, and later
+    // asserts may reuse its memory. Retracts go by time tag, and tags
+    // are never reused: the consumed element's tag answers false,
+    // while every new element's tag still retracts it.
     auto prog = jobsProgram();
     SessionPool pool(prog, {});
 
     Submit a = pool.submit(0, assertJob(prog, 1));
-    const ops5::Wme *consumed = a.response.get().wme;
-    ASSERT_NE(consumed, nullptr);
+    const ops5::TimeTag consumed = a.response.get().tag;
+    ASSERT_NE(consumed, 0u);
     ASSERT_EQ(pool.submit(0, Request::makeRun(10))
                   .response.get()
                   .run.firings,
               1u)
         << "the job rule removes the element and frees it";
 
-    // Fresh allocations of the same size soon reuse the freed block.
-    const ops5::Wme *reused = nullptr;
-    for (int i = 2; i < 2000 && reused == nullptr; ++i) {
-        const ops5::Wme *w =
-            pool.submit(0, assertJob(prog, i)).response.get().wme;
-        ASSERT_NE(w, nullptr);
-        if (w == consumed)
-            reused = w;
+    // Fresh allocations of the same size, some at the freed block.
+    std::vector<ops5::TimeTag> fresh;
+    for (int i = 2; i < 50; ++i) {
+        const ops5::TimeTag t =
+            pool.submit(0, assertJob(prog, i)).response.get().tag;
+        ASSERT_NE(t, 0u);
+        ASSERT_NE(t, consumed) << "a time tag was reused";
+        fresh.push_back(t);
     }
-    ASSERT_NE(reused, nullptr) << "allocator never reused the address";
 
-    Submit r = pool.submit(0, Request::makeRetract(reused));
-    EXPECT_TRUE(r.response.get().retracted)
-        << "a stale handle entry shadowed the live element";
+    EXPECT_FALSE(pool.submit(0, Request::makeRetractTag(consumed))
+                     .response.get()
+                     .retracted)
+        << "the consumed element is gone";
+    for (ops5::TimeTag t : fresh)
+        EXPECT_TRUE(pool.submit(0, Request::makeRetractTag(t))
+                        .response.get()
+                        .retracted)
+            << "tag " << t << " was live";
+}
+
+TEST(ServeTest, CallbackCompletionsFollowSubmitOrder)
+{
+    // An assert, a retract the pool refuses, and a request that
+    // expired in the queue land in one drain pass. The refused and
+    // the expired request need no match batch, yet they may not
+    // overtake the assert: one session completes in queue order.
+    auto prog = jobsProgram();
+    PoolOptions opt;
+    opt.autostart = false;
+    SessionPool pool(prog, opt);
+
+    std::mutex mu;
+    std::vector<int> order;
+    std::vector<Response> got(3);
+    auto record = [&](int i) {
+        return [&, i](Response &&resp) {
+            std::lock_guard<std::mutex> lk(mu);
+            order.push_back(i);
+            got[static_cast<std::size_t>(i)] = std::move(resp);
+        };
+    };
+    Request expired = assertJob(prog, 2);
+    expired.deadline = ServeClock::now() - std::chrono::milliseconds(1);
+    EXPECT_EQ(pool.submit(0, assertJob(prog, 1), record(0)),
+              RejectReason::None);
+    EXPECT_EQ(pool.submit(0, Request::makeRetractTag(99999), record(1)),
+              RejectReason::None);
+    EXPECT_EQ(pool.submit(0, expired, record(2)), RejectReason::None);
+
+    pool.start();
+    pool.drain();
+
+    ASSERT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_NE(got[0].tag, 0u);
+    EXPECT_FALSE(got[1].retracted);
+    EXPECT_TRUE(got[2].deadline_expired);
+    EXPECT_EQ(pool.stats().batches, 1u);
 }
 
 /**
@@ -432,7 +461,7 @@ TEST(ServeTest, ConcurrentClientsOnParallelSessions)
                 ASSERT_TRUE(a.accepted());
                 Submit run = pool.submit(sess, Request::makeRun(5));
                 ASSERT_TRUE(run.accepted());
-                if (a.response.get().wme != nullptr &&
+                if (a.response.get().tag != 0 &&
                     run.response.get().run.cycles >= 1)
                     ok.fetch_add(1);
             }
@@ -557,7 +586,7 @@ TEST(ServeTest, DrainUnderLoadMigratesIntoRestoredPool)
                         return;
                     }
                     Response r = s.response.get();
-                    EXPECT_NE(r.wme, nullptr);
+                    EXPECT_NE(r.tag, 0u);
                     EXPECT_FALSE(r.deadline_expired);
                     ok.fetch_add(1);
                 }
@@ -598,7 +627,7 @@ TEST(ServeTest, DrainUnderLoadMigratesIntoRestoredPool)
     pool2.start();
     Submit s = pool2.submit(0, assertJob(prog, 424242));
     ASSERT_TRUE(s.accepted());
-    EXPECT_NE(s.response.get().wme, nullptr);
+    EXPECT_NE(s.response.get().tag, 0u);
     pool2.drain();
 }
 
