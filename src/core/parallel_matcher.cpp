@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <stdexcept>
 
 namespace psm::core {
 
@@ -18,34 +17,30 @@ using rete::Side;
 using rete::TerminalNode;
 using rete::Token;
 
+namespace {
+
+/** Alpha memories shared, two-input nodes and beta memories private:
+ *  every non-top beta memory has one successor, and an alpha memory
+ *  lists its successors in ascending id, the composite task's lock
+ *  order (both checked by rete::validateStructure). */
+rete::NetworkOptions
+networkOptions()
+{
+    rete::NetworkOptions o;
+    o.share_two_input = false;
+    return o;
+}
+
+} // namespace
+
 ParallelReteMatcher::ParallelReteMatcher(
     std::shared_ptr<const ops5::Program> program, ParallelOptions options,
     rete::CostModel cost_model)
     : program_(std::move(program)), options_(options), cost_(cost_model),
-      network_(std::make_shared<rete::Network>(
-          program_, rete::NetworkOptions::privateState())),
+      network_(std::make_shared<rete::Network>(program_,
+                                               networkOptions())),
       worker_stats_(options.n_workers + 1)
 {
-    // The private-state invariant the composite tasks rely on: every
-    // alpha/beta memory (except the dummy top) has exactly one
-    // successor, so the memory update can fold into that successor's
-    // activation.
-    for (const auto &node : network_->nodes()) {
-        if (node->kind == NodeKind::AlphaMemory) {
-            auto *am = static_cast<AlphaMemoryNode *>(node.get());
-            if (am->successors.size() != 1)
-                throw std::logic_error(
-                    "private-state network violated: shared alpha memory");
-        }
-        if (node->kind == NodeKind::BetaMemory &&
-            node.get() != network_->top()) {
-            auto *bm = static_cast<BetaMemoryNode *>(node.get());
-            if (bm->successors.size() != 1)
-                throw std::logic_error(
-                    "private-state network violated: shared beta memory");
-        }
-    }
-
     // With no workers there is one lane and nothing to steal, and the
     // central queue's plain FIFO is the cheaper structure (E9's /0
     // rows), so the lock-free pool only runs once workers exist.
@@ -441,98 +436,144 @@ ParallelReteMatcher::processConstTest(const PTask &task,
 }
 
 void
+ParallelReteMatcher::lockNot(NotNode *node, std::size_t worker,
+                             telemetry::Registry *t)
+{
+    // try_lock-first probe: a failed try_lock is the contended case.
+    // Only taken with telemetry on, so the plain path stays one lock.
+    if (!t) {
+        node->mutex.lock();
+        return;
+    }
+    bool contended = !node->mutex.try_lock();
+    if (contended)
+        node->mutex.lock();
+    t->count(worker, telemetry::Counter::NotLockAcquires);
+    if (contended)
+        t->count(worker, telemetry::Counter::NotLockContended);
+}
+
+void
+ParallelReteMatcher::lockRight(Node *succ, std::size_t worker,
+                               telemetry::Registry *t)
+{
+    if (succ->kind == NodeKind::Join) {
+        bool contended =
+            static_cast<JoinNode *>(succ)->lock.acquire(Side::Right);
+        if (t) {
+            t->count(worker, telemetry::Counter::JoinLockAcquires);
+            if (contended)
+                t->count(worker,
+                         telemetry::Counter::JoinLockContended);
+        }
+        if (checker_)
+            checker_->enterSide(succ->id, Side::Right, worker);
+    } else {
+        lockNot(static_cast<NotNode *>(succ), worker, t);
+        if (checker_)
+            checker_->enterExclusive(succ->id, worker);
+    }
+}
+
+void
+ParallelReteMatcher::unlockRight(Node *succ)
+{
+    if (succ->kind == NodeKind::Join) {
+        if (checker_)
+            checker_->leaveSide(succ->id, Side::Right);
+        static_cast<JoinNode *>(succ)->lock.release(Side::Right);
+    } else {
+        if (checker_)
+            checker_->leaveExclusive(succ->id);
+        static_cast<NotNode *>(succ)->mutex.unlock();
+    }
+}
+
+void
 ParallelReteMatcher::processAlphaArrive(const PTask &task,
                                         std::size_t worker,
                                         telemetry::Registry *t)
 {
+    // Composite activation over a shared alpha memory. Take the right
+    // side of every successor in ascending node id (the lock order;
+    // a left activation holds a single lock, so no cycle can form),
+    // update the memory once, then probe each successor's left input
+    // and release that successor. A successor's left side cannot run
+    // between the update and its probe, so every (token, element)
+    // pair is emitted exactly once — by this probe or by the left
+    // activation — also for a self-join over this one memory.
     auto *am = static_cast<AlphaMemoryNode *>(task.node);
-    Node *succ = am->successors.front();
     MatchStats &st = worker_stats_[worker].stats;
-    const ops5::SymbolTable &syms = program_->symbols();
-
-    auto emit = [&](const Token &token, const ops5::Wme *wme,
-                    BetaMemoryNode *output, bool insert) {
-        PTask next;
-        next.node = output;
-        next.insert = insert;
-        next.token = token.extend(wme);
-        spawn(std::move(next), worker, t);
-    };
-
-    if (succ->kind == NodeKind::Join) {
-        auto *join = static_cast<JoinNode *>(succ);
-        rete::DirectionalGuard guard(join->lock, Side::Right);
-        DebugAccessChecker::SideScope check(checker_.get(), join->id,
-                                            Side::Right, worker);
-        if (t) {
-            t->count(worker, telemetry::Counter::JoinLockAcquires);
-            if (guard.contended())
-                t->count(worker,
-                         telemetry::Counter::JoinLockContended);
-        }
-        // Composite activation: update the memory, then probe the
-        // (quiescent) opposite memory — atomically w.r.t. the left
-        // side thanks to the directional lock. Cost stays modeled as
-        // the classic full scan (candidates = opposite size).
-        if (task.insert)
-            am->insertWme(task.wme);
-        else if (!am->removeWme(task.wme) && t)
-            t->count(worker, telemetry::Counter::AlphaRemoveMisses);
-        st.instructions += task.insert ? cost_.alpha_insert
-                                       : cost_.alpha_remove_base;
-        std::uint64_t candidates = join->left->size(), outputs = 0;
-        auto tryPair = [&](const Token &token) {
-            if (rete::evalFlatTests(join->flat, token, *task.wme,
-                                    syms)) {
-                ++outputs;
-                emit(token, task.wme, join->output, task.insert);
-            }
-        };
-        if (join->left_probe >= 0 && join->left->indexed()) {
-            const rete::BetaProbe &probe =
-                join->left->probes[join->left_probe];
-            auto range = probe.buckets.equal_range(
-                rete::probeHashFromWme(join->flat, *task.wme));
-            for (auto it = range.first; it != range.second; ++it)
-                tryPair(join->left->store.at(it->second));
-        } else {
-            join->left->store.forEach(tryPair);
-        }
-        st.comparisons += candidates;
-        st.tokens_built += outputs;
-        st.instructions += cost_.joinActivation(
-            candidates, candidates * join->tests.size(), outputs);
-        if (t)
-            t->observe(worker, telemetry::Histogram::JoinCandidates,
-                       candidates);
-        return;
-    }
-
-    auto *not_node = static_cast<NotNode *>(succ);
-    // try_lock-first probe: a failed try_lock is the contended case.
-    // Only taken with telemetry on, so the plain path stays one lock.
-    bool not_contended = false;
-    if (t) {
-        not_contended = !not_node->mutex.try_lock();
-        if (not_contended)
-            not_node->mutex.lock();
-    } else {
-        not_node->mutex.lock();
-    }
-    std::lock_guard<std::mutex> lock(not_node->mutex, std::adopt_lock);
-    if (t) {
-        t->count(worker, telemetry::Counter::NotLockAcquires);
-        if (not_contended)
-            t->count(worker, telemetry::Counter::NotLockContended);
-    }
-    DebugAccessChecker::ExclusiveScope check(checker_.get(),
-                                             not_node->id, worker);
+    for (Node *succ : am->successors)
+        lockRight(succ, worker, t);
     if (task.insert)
         am->insertWme(task.wme);
     else if (!am->removeWme(task.wme) && t)
         t->count(worker, telemetry::Counter::AlphaRemoveMisses);
     st.instructions += task.insert ? cost_.alpha_insert
                                    : cost_.alpha_remove_base;
+    for (Node *succ : am->successors) {
+        if (succ->kind == NodeKind::Join)
+            probeJoinRight(task, static_cast<JoinNode *>(succ), worker,
+                           t);
+        else
+            probeNotRight(task, static_cast<NotNode *>(succ), worker,
+                          t);
+        unlockRight(succ);
+        // The shared memory belongs to no single production; a
+        // zero-cost activation of each (private) successor marks its
+        // production affected, as a right activation does serially.
+        if (t)
+            t->nodeActivation(worker, succ->id, 0);
+    }
+}
+
+void
+ParallelReteMatcher::probeJoinRight(const PTask &task, JoinNode *join,
+                                    std::size_t worker,
+                                    telemetry::Registry *t)
+{
+    // Probe the (quiescent) left memory. Cost stays modeled as the
+    // classic full scan (candidates = opposite size).
+    MatchStats &st = worker_stats_[worker].stats;
+    const ops5::SymbolTable &syms = program_->symbols();
+    std::uint64_t candidates = join->left->size(), outputs = 0;
+    auto tryPair = [&](const Token &token) {
+        if (rete::evalFlatTests(join->flat, token, *task.wme, syms)) {
+            ++outputs;
+            PTask next;
+            next.node = join->output;
+            next.insert = task.insert;
+            next.token = token.extend(task.wme);
+            spawn(std::move(next), worker, t);
+        }
+    };
+    if (join->left_probe >= 0 && join->left->indexed()) {
+        const rete::BetaProbe &probe =
+            join->left->probes[join->left_probe];
+        auto range = probe.buckets.equal_range(
+            rete::probeHashFromWme(join->flat, *task.wme));
+        for (auto it = range.first; it != range.second; ++it)
+            tryPair(join->left->store.at(it->second));
+    } else {
+        join->left->store.forEach(tryPair);
+    }
+    st.comparisons += candidates;
+    st.tokens_built += outputs;
+    st.instructions += cost_.joinActivation(
+        candidates, candidates * join->tests.size(), outputs);
+    if (t)
+        t->observe(worker, telemetry::Histogram::JoinCandidates,
+                   candidates);
+}
+
+void
+ParallelReteMatcher::probeNotRight(const PTask &task, NotNode *not_node,
+                                   std::size_t worker,
+                                   telemetry::Registry *t)
+{
+    MatchStats &st = worker_stats_[worker].stats;
+    const ops5::SymbolTable &syms = program_->symbols();
     std::uint64_t candidates = 0;
     // Every entry's count can change on a right arrival, so this scan
     // is inherently linear in the entry count (no identity key).
@@ -542,22 +583,16 @@ ParallelReteMatcher::processAlphaArrive(const PTask &task,
                                  syms)) {
             continue;
         }
-        if (task.insert) {
-            if (++entry.count == 1) {
-                PTask next;
-                next.node = not_node->output;
-                next.insert = false;
-                next.token = entry.token;
-                spawn(std::move(next), worker, t);
-            }
-        } else {
-            if (--entry.count == 0) {
-                PTask next;
-                next.node = not_node->output;
-                next.insert = true;
-                next.token = entry.token;
-                spawn(std::move(next), worker, t);
-            }
+        // The token flips visibility when its count leaves or
+        // reaches zero.
+        bool flips = task.insert ? ++entry.count == 1
+                                 : --entry.count == 0;
+        if (flips) {
+            PTask next;
+            next.node = not_node->output;
+            next.insert = !task.insert;
+            next.token = entry.token;
+            spawn(std::move(next), worker, t);
         }
     }
     st.comparisons += candidates;
@@ -656,20 +691,8 @@ ParallelReteMatcher::processBetaArrive(const PTask &task,
     }
 
     auto *not_node = static_cast<NotNode *>(succ);
-    bool not_contended = false;
-    if (t) {
-        not_contended = !not_node->mutex.try_lock();
-        if (not_contended)
-            not_node->mutex.lock();
-    } else {
-        not_node->mutex.lock();
-    }
+    lockNot(not_node, worker, t);
     std::lock_guard<std::mutex> lock(not_node->mutex, std::adopt_lock);
-    if (t) {
-        t->count(worker, telemetry::Counter::NotLockAcquires);
-        if (not_contended)
-            t->count(worker, telemetry::Counter::NotLockContended);
-    }
     DebugAccessChecker::ExclusiveScope check(checker_.get(),
                                              not_node->id, worker);
     bool forward = task.insert ? bm->insertToken(task.token)

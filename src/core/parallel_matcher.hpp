@@ -5,18 +5,24 @@
  *
  * Parallelism follows Section 4: node activations are the task unit;
  * multiple activations of the same node may run in parallel (same
- * side); all WME changes of one firing are processed in parallel; and
- * node sharing across productions is given up (the network is built
- * with NetworkOptions::privateState()), trading extra computation for
- * independence — exactly the loss the paper charges against the
- * parallel implementation in Section 6.
+ * side); and all WME changes of one firing are processed in parallel.
+ * The network shares constant tests and alpha memories across
+ * productions but gives up two-input sharing: every join and not-node
+ * has its own output memory, so each beta memory has one successor.
+ * That private beta state is the part of the paper's Section 6
+ * "loss of node sharing" the matcher still pays.
  *
  * Interference control (the job of the paper's hardware scheduler):
- *  - each two-input node's activation folds the adjacent memory
- *    update and the opposite-memory scan into one unit under the
- *    node's DirectionalLock (same-side concurrent, opposite-side
- *    exclusive);
- *  - not-nodes use a plain mutex (their counts are read-modify-write);
+ *  - an element change is one composite task per alpha memory: it
+ *    takes the right side of every successor in ascending node id,
+ *    updates the shared memory once, then probes each successor's
+ *    left memory and releases that successor;
+ *  - a token arrival folds the beta-memory update and the right
+ *    probe into one unit under its single successor's lock, so left
+ *    activations hold one lock and the fixed order cannot deadlock;
+ *  - joins use a DirectionalLock (same side concurrent, opposite side
+ *    exclusive; one atomic word), not-nodes a plain mutex (their
+ *    counts are read-modify-write);
  *  - out-of-order conjugate insert/remove pairs are absorbed by
  *    anti-token tombstones in beta memories and the conflict set,
  *    cleared at every cycle barrier.
@@ -80,7 +86,7 @@ struct ParallelOptions
 };
 
 /**
- * Fine-grain parallel Rete matcher over a private-state network.
+ * Fine-grain parallel Rete matcher over an alpha-shared network.
  */
 class ParallelReteMatcher : public Matcher
 {
@@ -173,8 +179,24 @@ class ParallelReteMatcher : public Matcher
                           telemetry::Registry *t);
     void processAlphaArrive(const PTask &task, std::size_t worker,
                             telemetry::Registry *t);
+    void probeJoinRight(const PTask &task, rete::JoinNode *join,
+                        std::size_t worker, telemetry::Registry *t);
+    void probeNotRight(const PTask &task, rete::NotNode *not_node,
+                       std::size_t worker, telemetry::Registry *t);
     void processBetaArrive(const PTask &task, std::size_t worker,
                            telemetry::Registry *t);
+
+    /** Locks a not-node's mutex, counting contention. */
+    void lockNot(rete::NotNode *node, std::size_t worker,
+                 telemetry::Registry *t);
+    /** Takes the right side of two-input node @p succ (a join's
+     *  DirectionalLock, a not-node's mutex) and registers it with the
+     *  access checker; unlockRight undoes both. The composite alpha
+     *  task holds a set of these taken in a loop, which the static
+     *  analysis cannot follow, hence the opt-out. */
+    void lockRight(rete::Node *succ, std::size_t worker,
+                   telemetry::Registry *t) PSM_NO_THREAD_SAFETY_ANALYSIS;
+    void unlockRight(rete::Node *succ) PSM_NO_THREAD_SAFETY_ANALYSIS;
 
     /** Per-worker statistics slot, padded against false sharing. */
     struct alignas(64) WorkerStats

@@ -97,8 +97,9 @@ class NetworkBuilder
 
         // When alpha sharing is off, every CE gets a private memory —
         // even within one production — so each memory has exactly one
-        // two-input successor (the parallel matcher's composite-task
-        // invariant).
+        // two-input successor. When it is on, successors are appended
+        // as their nodes are created, so they stay in ascending id:
+        // the parallel matcher's lock order.
         if (opt.share_alpha) {
             for (Node *n : *succ) {
                 if (n->kind == NodeKind::AlphaMemory) {

@@ -49,7 +49,10 @@ struct NetworkOptions
         return {};
     }
 
-    /** The parallel configuration: private state per production. */
+    /** Private state per production: no alpha or two-input sharing.
+     *  The serial baseline of E3's sharing-loss measurement, and the
+     *  network psm/capture traces. The parallel matcher shares alpha
+     *  memories and keeps only two-input state private. */
     static NetworkOptions
     privateState()
     {
@@ -86,8 +89,8 @@ struct BuildStats
  *
  * The network is immutable in structure after construction; only the
  * memory-node contents change during match. It can therefore back any
- * number of sequential runs, and (when built with privateState
- * options) the fine-grain parallel matcher.
+ * number of sequential runs, and (with two-input sharing off) the
+ * fine-grain parallel matcher.
  */
 class Network
 {

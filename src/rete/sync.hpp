@@ -22,9 +22,11 @@
 #ifndef PSM_RETE_SYNC_HPP
 #define PSM_RETE_SYNC_HPP
 
+#include <atomic>
 #include <cstdint>
 
 #include "core/annotations.hpp"
+#include "core/backoff.hpp"
 
 namespace psm::rete {
 
@@ -35,9 +37,14 @@ enum class Side : std::uint8_t { Left, Right };
  * Reader-writer-style lock keyed by side instead of read/write:
  * any number of same-side holders, never both sides at once.
  *
- * Fairness: a side waits only while the other side is active; with
- * task granularity of 50-100 instructions, hold times are tiny and a
- * simple condition variable suffices.
+ * One atomic word holds both counts, left in the low half and right
+ * in the high half. A side joins by CAS while the opposite count is
+ * zero; an uncontended acquire or release is one atomic RMW, which
+ * matters because a composite alpha activation takes the right side
+ * of every successor of a shared memory. A waiter spins politely and
+ * then yields (core::IdleBackoff); with task granularity of 50-100
+ * instructions, hold times are too short to park. There is no
+ * fairness: a side waits only while the other side is active.
  */
 class PSM_CAPABILITY("directional_lock") DirectionalLock
 {
@@ -47,40 +54,52 @@ class PSM_CAPABILITY("directional_lock") DirectionalLock
     bool
     acquire(Side side) PSM_ACQUIRE_SHARED()
     {
+        const std::uint64_t mine = unit(side);
+        const std::uint64_t theirs = side == Side::Left ? ~kLow : kLow;
         bool contended = false;
-        mutex_.lock();
-        if (side == Side::Left) {
-            while (right_ != 0) {
-                contended = true;
-                cv_.wait(mutex_);
+        core::IdleBackoff backoff;
+        std::uint64_t word = word_.load(std::memory_order_relaxed);
+        for (;;) {
+            if ((word & theirs) == 0) {
+                if (word_.compare_exchange_weak(
+                        word, word + mine, std::memory_order_acquire,
+                        std::memory_order_relaxed))
+                    return contended;
+                continue; // same-side traffic moved the word: retry
             }
-            ++left_;
-        } else {
-            while (left_ != 0) {
-                contended = true;
-                cv_.wait(mutex_);
-            }
-            ++right_;
+            contended = true;
+            backoff.step();
+            word = word_.load(std::memory_order_relaxed);
         }
-        mutex_.unlock();
-        return contended;
     }
 
     void
     release(Side side) PSM_RELEASE_SHARED()
     {
-        mutex_.lock();
-        int &mine = side == Side::Left ? left_ : right_;
-        if (--mine == 0)
-            cv_.notify_all();
-        mutex_.unlock();
+        word_.fetch_sub(unit(side), std::memory_order_release);
+    }
+
+    /** Current holders on @p side (a racy snapshot, for tests). */
+    std::uint32_t
+    holders(Side side) const
+    {
+        std::uint64_t word = word_.load(std::memory_order_relaxed);
+        return static_cast<std::uint32_t>(
+            side == Side::Left ? word & kLow : word >> 32);
     }
 
   private:
-    core::Mutex mutex_;
-    core::CondVarAny cv_;
-    int left_ PSM_GUARDED_BY(mutex_) = 0;
-    int right_ PSM_GUARDED_BY(mutex_) = 0;
+    /** The left count's bits; the right count is the high half. */
+    static constexpr std::uint64_t kLow = 0xffffffffu;
+
+    /** One holder on @p side. */
+    static constexpr std::uint64_t
+    unit(Side side)
+    {
+        return side == Side::Left ? 1 : kLow + 1;
+    }
+
+    std::atomic<std::uint64_t> word_{0};
 };
 
 /** RAII holder for a DirectionalLock. */

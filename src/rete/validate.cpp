@@ -127,11 +127,21 @@ class StructureValidator
                           std::to_string(am->successors.size()) +
                           " successors");
         }
+        int prev_id = -1;
         for (const Node *succ : am->successors) {
             if (!succ) {
                 nodeError(result_, am, "null successor");
                 continue;
             }
+            // The parallel matcher's composite task locks successors
+            // in list order, which must be the global (id) order.
+            if (!net_.options().share_two_input && succ->id <= prev_id) {
+                nodeError(result_, am,
+                          "lock order violated: successor " +
+                              std::to_string(succ->id) + " after " +
+                              std::to_string(prev_id));
+            }
+            prev_id = succ->id;
             const AlphaMemoryNode *right = nullptr;
             if (succ->kind == NodeKind::Join)
                 right = static_cast<const JoinNode *>(succ)->right;
@@ -156,11 +166,11 @@ class StructureValidator
     checkBetaMemory(const BetaMemoryNode *bm)
     {
         if (!net_.options().share_two_input && bm != net_.top() &&
-            bm->successors.size() > 1) {
+            bm->successors.size() != 1) {
             nodeError(result_, bm,
-                      "private-state network violated: " +
+                      "unshared beta memory has " +
                           std::to_string(bm->successors.size()) +
-                          " successors");
+                          " successors, want 1");
         }
         for (const Node *succ : bm->successors) {
             if (!succ) {

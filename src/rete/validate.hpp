@@ -13,8 +13,8 @@
  *
  * Three entry points, by increasing strength:
  *  - validateStructure: shape-only invariants of the node graph
- *    (wiring, producers, private-state discipline); state-independent,
- *    checked once after compilation.
+ *    (wiring, producers, the composite-task discipline);
+ *    state-independent, checked once after compilation.
  *  - validateNetworkState: every alpha/beta memory, not-node count,
  *    and join output recomputed from the live working memory and
  *    diffed against the incremental state; plus tombstone emptiness
@@ -62,9 +62,10 @@ struct ValidationResult
  * ids, non-null and type-correct wiring on every edge, two-input
  * nodes registered as successors of both input memories, exactly one
  * producer per beta memory (except the dummy top), terminals fed by
- * exactly one memory, and — for private-state networks — the
- * one-successor-per-memory discipline the parallel matcher's
- * composite activations rely on.
+ * exactly one memory, and — for networks without two-input sharing
+ * — the invariants the parallel matcher's composite activations rely
+ * on: one successor per non-top beta memory, and alpha-memory
+ * successors in strictly ascending id (the lock order).
  */
 ValidationResult validateStructure(const Network &network);
 

@@ -2,17 +2,25 @@
  * @file
  * Parallel-runtime tests: task queues, the directional lock, and the
  * parallel matcher under stress (many workers, repeated runs, heavy
- * negation).
+ * negation, one alpha memory shared by several joins).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
+#include <random>
 #include <thread>
 
 #include "core/parallel_matcher.hpp"
 #include "ops5/parser.hpp"
+#include "rete/matcher.hpp"
 #include "rete/sync.hpp"
+#include "rete/validate.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/presets.hpp"
 
@@ -108,6 +116,230 @@ TEST(DirectionalLockTest, SameSideOverlapsOppositeExcludes)
     // threads it is overwhelmingly likely to have happened at least
     // once, but do not hard-fail on a slow machine.
     EXPECT_GE(max_left.load(), 1);
+}
+
+TEST(DirectionalLockTest, ManyThreadMixedSidesNeverOverlapAndDrain)
+{
+    rete::DirectionalLock lock;
+    std::atomic<int> active[2] = {0, 0}; // [Left, Right]
+    std::atomic<bool> violation{false};
+
+    constexpr int kThreads = 8;
+    constexpr int kIters = 5000;
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            std::uint64_t x = 0x9e3779b97f4a7c15ull * (i + 1);
+            for (int n = 0; n < kIters; ++n) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                int me = static_cast<int>(x & 1);
+                rete::DirectionalGuard guard(
+                    lock, me == 0 ? rete::Side::Left : rete::Side::Right);
+                active[me].fetch_add(1);
+                if (active[1 - me].load() != 0)
+                    violation = true;
+                active[me].fetch_sub(1);
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_FALSE(violation.load()) << "opposite sides overlapped";
+    EXPECT_EQ(lock.holders(rete::Side::Left), 0u);
+    EXPECT_EQ(lock.holders(rete::Side::Right), 0u);
+}
+
+constexpr int kSweepLocks = 6;
+
+struct SweepState
+{
+    std::array<rete::DirectionalLock, kSweepLocks> locks;
+    std::array<std::atomic<int>, kSweepLocks> left_in{};
+    std::array<std::atomic<int>, kSweepLocks> right_in{};
+    std::atomic<bool> violation{false};
+};
+
+/** What a composite alpha task does: the right side of every lock in
+ *  id order, then each released in turn. */
+void sweepRight(SweepState &st) PSM_NO_THREAD_SAFETY_ANALYSIS;
+
+void
+sweepRight(SweepState &st)
+{
+    for (int i = 0; i < kSweepLocks; ++i) {
+        st.locks[i].acquire(rete::Side::Right);
+        st.right_in[i].fetch_add(1);
+        if (st.left_in[i].load() != 0)
+            st.violation = true;
+    }
+    for (int i = 0; i < kSweepLocks; ++i) {
+        st.right_in[i].fetch_sub(1);
+        st.locks[i].release(rete::Side::Right);
+    }
+}
+
+TEST(DirectionalLockTest, OrderedRightSweepsBesideLeftChurnFinish)
+{
+    // Two sweepers (two alpha tasks on one shared memory) take several
+    // locks' right sides in id order while four churners each hold one
+    // left side at a time, as token arrivals do. The fixed order must
+    // not deadlock.
+    SweepState st;
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> churners;
+    for (int c = 0; c < 4; ++c) {
+        churners.emplace_back([&, c] {
+            std::uint64_t x = 0x2545f4914f6cdd1dull * (c + 1);
+            while (!stop.load()) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                int i = static_cast<int>(x % kSweepLocks);
+                rete::DirectionalGuard guard(st.locks[i],
+                                             rete::Side::Left);
+                st.left_in[i].fetch_add(1);
+                if (st.right_in[i].load() != 0)
+                    st.violation = true;
+                st.left_in[i].fetch_sub(1);
+            }
+        });
+    }
+    auto sweeps = std::async(std::launch::async, [&] {
+        std::thread other([&] {
+            for (int n = 0; n < 2000; ++n)
+                sweepRight(st);
+        });
+        for (int n = 0; n < 2000; ++n)
+            sweepRight(st);
+        other.join();
+    });
+    if (sweeps.wait_for(std::chrono::seconds(120)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "ordered right sweeps deadlocked";
+        std::abort();
+    }
+    stop = true;
+    for (auto &t : churners)
+        t.join();
+
+    EXPECT_FALSE(st.violation.load()) << "opposite sides overlapped";
+    for (int i = 0; i < kSweepLocks; ++i) {
+        EXPECT_EQ(st.locks[i].holders(rete::Side::Left), 0u);
+        EXPECT_EQ(st.locks[i].holders(rete::Side::Right), 0u);
+    }
+}
+
+/** Canonical conflict-set snapshot: sorted (production, tags) keys. */
+std::vector<std::pair<int, std::vector<ops5::TimeTag>>>
+snapshot(const ops5::ConflictSet &cs)
+{
+    std::vector<std::pair<int, std::vector<ops5::TimeTag>>> out;
+    for (const ops5::Instantiation &inst : cs.contents()) {
+        ops5::InstantiationKey key = ops5::InstantiationKey::of(inst);
+        out.emplace_back(key.production_id, key.tags);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
+{
+    // No CE over class a has a constant test, so all four read one
+    // alpha memory: both sides of the self-join in `self`, the join
+    // in `pair` and the negated CE of `lonely`.
+    auto program = ops5::parse(R"(
+(literalize a x y)
+(literalize b x)
+(p self (a ^x <v>) (a ^y <v>) --> (halt))
+(p pair (b ^x <v>) (a ^y <v>) --> (halt))
+(p lonely (b ^x <v>) -(a ^x <v>) --> (halt))
+)");
+    const ops5::SymbolId a = program->symbols().find("a");
+    const ops5::SymbolId b = program->symbols().find("b");
+
+    rete::ReteMatcher serial(program);
+    std::vector<std::unique_ptr<core::ParallelReteMatcher>> pars;
+    for (std::size_t workers : {0, 3}) {
+        for (core::SchedulerKind kind :
+             {core::SchedulerKind::Central, core::SchedulerKind::LockFree}) {
+            if (workers == 0 && kind == core::SchedulerKind::LockFree)
+                continue; // /0 always runs the central queue
+            core::ParallelOptions opt;
+            opt.n_workers = workers;
+            opt.scheduler = kind;
+            opt.access_check = true;
+            pars.push_back(
+                std::make_unique<core::ParallelReteMatcher>(program, opt));
+        }
+    }
+
+    // The shape the test is about: one alpha memory, four successors
+    // in ascending id, one of them a not-node.
+    const rete::AlphaMemoryNode *shared = nullptr;
+    for (const auto &node : pars.front()->network().nodes())
+        if (node->kind == rete::NodeKind::AlphaMemory &&
+            static_cast<rete::AlphaMemoryNode *>(node.get())
+                    ->successors.size() == 4)
+            shared = static_cast<rete::AlphaMemoryNode *>(node.get());
+    ASSERT_NE(shared, nullptr);
+    EXPECT_TRUE(std::any_of(
+        shared->successors.begin(), shared->successors.end(),
+        [](const rete::Node *n) { return n->kind == rete::NodeKind::Not; }));
+    ASSERT_TRUE(rete::validateStructure(pars.front()->network()).ok());
+
+    ops5::WorkingMemory wm;
+    std::vector<const ops5::Wme *> live;
+    std::mt19937_64 rng(4242);
+    auto value = [&] {
+        return ops5::Value::integer(
+            std::uniform_int_distribution<int>(0, 3)(rng));
+    };
+    std::size_t peak = 0;
+    for (int batch_no = 0; batch_no < 200; ++batch_no) {
+        std::vector<ops5::WmeChange> batch;
+        for (int i = 0; i < 24; ++i) {
+            // A random walk capped at 64 live elements: every batch
+            // both joins and retracts, and the conflict set stays
+            // small enough to compare at every barrier.
+            bool remove = live.size() > 64 ||
+                (live.size() > 4 &&
+                 std::uniform_int_distribution<int>(0, 9)(rng) < 5);
+            if (remove) {
+                std::size_t idx = std::uniform_int_distribution<
+                    std::size_t>(0, live.size() - 1)(rng);
+                const ops5::Wme *victim = live[idx];
+                live[idx] = live.back();
+                live.pop_back();
+                wm.remove(victim);
+                batch.push_back({ops5::ChangeKind::Remove, victim});
+            } else if (rng() % 3 != 0) {
+                live.push_back(wm.insert(a, {value(), value()}));
+                batch.push_back({ops5::ChangeKind::Insert, live.back()});
+            } else {
+                live.push_back(wm.insert(b, {value()}));
+                batch.push_back({ops5::ChangeKind::Insert, live.back()});
+            }
+        }
+        serial.processChanges(batch);
+        auto expected = snapshot(serial.conflictSet());
+        peak = std::max(peak, expected.size());
+        for (auto &par : pars) {
+            par->processChanges(batch);
+            ASSERT_EQ(snapshot(par->conflictSet()), expected)
+                << par->name() << " /" << par->options().n_workers
+                << " diverged at batch " << batch_no;
+            auto r = rete::validateNetworkState(par->network(),
+                                                wm.liveElements());
+            ASSERT_TRUE(r.ok()) << par->name() << " batch " << batch_no
+                                << ": " << r.summary();
+        }
+    }
+    EXPECT_GT(peak, 20u) << "the churn barely matched anything";
+    for (auto &par : pars)
+        EXPECT_EQ(par->accessChecker()->violationCount(), 0u);
 }
 
 TEST(ParallelMatcherTest, ManyWorkersHeavyNegationStress)

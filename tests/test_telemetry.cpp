@@ -7,6 +7,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -397,4 +398,31 @@ TEST(Telemetry, ParallelMatcherAccountsTasksAndEpochs)
     EXPECT_LE(reg->total(Counter::TasksExecuted),
               m.stats().activations);
     EXPECT_GT(reg->total(Counter::TasksExecuted), 0u);
+}
+
+TEST(Telemetry, ParallelWorkersParkBetweenBatches)
+{
+    REQUIRE_TELEMETRY();
+    // Idle workers park on the batch generation between batches. A
+    // park is counted when the worker wakes, so a run's final park is
+    // never counted; the sleeps give every worker time to park before
+    // the next batch wakes it.
+    auto preset = workloads::tinyPreset(13);
+    auto program = workloads::generateProgram(preset.config);
+    core::ParallelOptions opt;
+    opt.n_workers = 3;
+    core::ParallelReteMatcher m(program, opt);
+    telemetry::Registry *reg = m.enableTelemetry();
+    ASSERT_NE(reg, nullptr);
+
+    ops5::WorkingMemory wm;
+    workloads::ChangeStream stream(*program, wm, preset.config, 9);
+    for (int b = 0; b < 6; ++b) {
+        m.processChanges(stream.nextBatch(16, 0.3));
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+
+    EXPECT_GT(reg->total(Counter::WorkerParks), 0u);
+    EXPECT_EQ(reg->total(Counter::TasksExecuted),
+              reg->total(Counter::TasksSpawned));
 }

@@ -126,6 +126,15 @@ TEST(ValidateOracleTest, DetectsInjectedCorruption)
     EXPECT_FALSE(r.errors.empty());
 }
 
+bool
+mentions(const rete::ValidationResult &r, const char *needle)
+{
+    for (const std::string &e : r.errors)
+        if (e.find(needle) != std::string::npos)
+            return true;
+    return false;
+}
+
 /**
  * Seeded-corruption harness: build a small matched network, verify it
  * validates clean, then apply one specific corruption and assert the
@@ -191,15 +200,6 @@ class CorruptionTest : public ::testing::Test
                 return bm;
         }
         return nullptr;
-    }
-
-    static bool
-    mentions(const rete::ValidationResult &r, const char *needle)
-    {
-        for (const std::string &e : r.errors)
-            if (e.find(needle) != std::string::npos)
-                return true;
-        return false;
     }
 
     std::shared_ptr<const ops5::Program> program_;
@@ -359,6 +359,106 @@ TEST_F(CorruptionTest, AlphaRemoveMissFlagged)
     auto r = rete::validateIndexes(*net_);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(mentions(r, "removeWme miss")) << r.summary();
+}
+
+/**
+ * The invariants the parallel matcher's composite alpha task relies
+ * on, on a network with alpha memories shared and two-input nodes
+ * private: one successor per non-top beta memory, and alpha-memory
+ * successors in ascending id (the lock order).
+ */
+class CompositeInvariantTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        program_ = ops5::parse(R"(
+(literalize a x)
+(literalize b y)
+(p p1 (a ^x <v>) (b ^y <v>) --> (halt))
+(p p2 (a ^x <v>) -(b ^y <v>) --> (halt))
+)");
+        rete::NetworkOptions opt;
+        opt.share_two_input = false;
+        net_ = std::make_shared<rete::Network>(program_, opt);
+        ASSERT_TRUE(rete::validateStructure(*net_).ok());
+    }
+
+    /** An alpha memory feeding both productions. */
+    rete::AlphaMemoryNode *
+    sharedAlpha()
+    {
+        for (const auto &node : net_->nodes()) {
+            if (node->kind != rete::NodeKind::AlphaMemory)
+                continue;
+            auto *am = static_cast<rete::AlphaMemoryNode *>(node.get());
+            if (am->successors.size() >= 2)
+                return am;
+        }
+        return nullptr;
+    }
+
+    std::shared_ptr<const ops5::Program> program_;
+    std::shared_ptr<rete::Network> net_;
+};
+
+TEST_F(CompositeInvariantTest, AlphaSuccessorsOutOfLockOrder)
+{
+    rete::AlphaMemoryNode *am = sharedAlpha();
+    ASSERT_NE(am, nullptr);
+    // Two alpha tasks walking one memory's successors in different
+    // orders could each hold a lock the other waits for.
+    std::reverse(am->successors.begin(), am->successors.end());
+    auto r = rete::validateStructure(*net_);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(mentions(r, "lock order")) << r.summary();
+}
+
+TEST_F(CompositeInvariantTest, DuplicateAlphaSuccessorBreaksLockOrder)
+{
+    rete::AlphaMemoryNode *am = sharedAlpha();
+    ASSERT_NE(am, nullptr);
+    // Locking one node's right side twice in one task: a not-node's
+    // mutex would self-deadlock.
+    am->successors.push_back(am->successors.back());
+    auto r = rete::validateStructure(*net_);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(mentions(r, "lock order")) << r.summary();
+}
+
+TEST_F(CompositeInvariantTest, UnsharedBetaMemoryWithTwoSuccessors)
+{
+    // A token arrival folds into its memory's single successor; a
+    // second one would never be activated.
+    rete::BetaMemoryNode *bm = nullptr;
+    for (const auto &node : net_->nodes())
+        if (node->kind == rete::NodeKind::BetaMemory &&
+            node.get() != net_->top())
+            bm = static_cast<rete::BetaMemoryNode *>(node.get());
+    ASSERT_NE(bm, nullptr);
+    ASSERT_EQ(bm->successors.size(), 1u);
+    bm->successors.push_back(bm->successors.front());
+    auto r = rete::validateStructure(*net_);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(mentions(r, "unshared beta memory")) << r.summary();
+}
+
+TEST_F(CompositeInvariantTest, ParallelMatcherNetworkIsClean)
+{
+    auto program =
+        workloads::generateProgram(workloads::growthPreset().config);
+    core::ParallelReteMatcher par(program);
+    auto r = rete::validateStructure(par.network());
+    EXPECT_TRUE(r.ok()) << r.summary();
+    // Alpha memories as few as under full sharing, far fewer than
+    // one per condition element.
+    rete::Network shared(program);
+    rete::Network priv(program, rete::NetworkOptions::privateState());
+    const int alpha = par.network().buildStats().alpha_memories;
+    EXPECT_EQ(alpha, shared.buildStats().alpha_memories);
+    EXPECT_LT(alpha, priv.buildStats().alpha_memories);
+    EXPECT_EQ(par.network().buildStats().reused_two_input, 0);
 }
 
 /** Conflict-set agreement must also hold through a real run with
