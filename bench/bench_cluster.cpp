@@ -5,8 +5,8 @@
  * A multi-process experiment in one binary: worker and standby
  * processes are forked up front (before the parent spawns any
  * thread), each reporting its ephemeral ports over a pipe; the
- * parent then runs the Router in-process and drives the cluster
- * load driver against it.
+ * parent then runs the Router in-process and drives the E15 load
+ * driver (serve::runLoad) against it over cluster::ClientChannel.
  *
  * Phase A (scaling): the paced mix from E15, routed over 1, 2, then
  * 4 worker processes. On a machine with spare cores the wider
@@ -31,6 +31,8 @@
  *          [--iterations N] [--asserts N] [--run-cycles N]
  *          [--rate HZ] [--checkpoint-every N] [--dir D]
  *          [--workers-list 1,2,4]
+ * --rate is offered requests/s per client (default 150), paced as
+ * rate / (2 * asserts + [Run]) iterations/s.
  */
 
 #include <sys/types.h>
@@ -64,8 +66,6 @@
 namespace {
 
 namespace fs = std::filesystem;
-using psm::cluster::ClusterLoadConfig;
-using psm::cluster::ClusterLoadResult;
 
 struct ChildProc
 {
@@ -157,13 +157,13 @@ main(int argc, char **argv)
     std::string program_path, preset_name = "tiny", json_path;
     std::string state_dir = "bench_cluster_state";
     bool do_assert = false;
-    ClusterLoadConfig load;
+    psm::serve::LoadConfig load;
     load.sessions = 8;
     load.clients_per_session = 1;
     load.iterations = 90;
     load.asserts_per_iteration = 2;
     load.run_cycles = 3;
-    load.arrival_rate_hz = 150.0;
+    double request_rate_hz = 150.0; ///< offered per client
     std::uint64_t checkpoint_every = 48;
     std::vector<std::size_t> widths = {1, 2, 4};
 
@@ -206,7 +206,7 @@ main(int argc, char **argv)
         } else if (a == "--checkpoint-every" && val(v)) {
             checkpoint_every = v;
         } else if (a == "--rate" && i + 1 < argc) {
-            load.arrival_rate_hz = std::stod(argv[++i]);
+            request_rate_hz = std::stod(argv[++i]);
         } else if (a == "--workers-list" && i + 1 < argc) {
             widths.clear();
             std::string list = argv[++i];
@@ -223,6 +223,10 @@ main(int argc, char **argv)
     }
     const std::size_t max_width =
         *std::max_element(widths.begin(), widths.end());
+    load.arrival_rate_hz =
+        request_rate_hz /
+        (2.0 * static_cast<double>(load.asserts_per_iteration) +
+         (load.run_cycles > 0 ? 1.0 : 0.0));
 
     std::shared_ptr<const psm::ops5::Program> program;
     std::string workload_name;
@@ -329,10 +333,20 @@ main(int argc, char **argv)
                     static_cast<double>(load.clients_per_session));
         json.config("iterations",
                     static_cast<double>(load.iterations));
+        json.config("request_rate_hz", request_rate_hz);
         json.config("arrival_rate_hz", load.arrival_rate_hz);
         json.config("checkpoint_every",
                     static_cast<double>(checkpoint_every));
         std::vector<Check> checks;
+
+        // Session s of a load is gsid first_gsid + s on the router.
+        auto channels = [&](psm::cluster::Router &router,
+                            std::uint64_t first_gsid) {
+            return [&program, port = router.port(), first_gsid] {
+                return std::make_unique<psm::cluster::ClientChannel>(
+                    "127.0.0.1", port, first_gsid, *program);
+            };
+        };
 
         // ------------------- Phase A: scaling -------------------
         std::printf("E20 phase A: paced mix over %zu..%zu worker "
@@ -348,12 +362,9 @@ main(int argc, char **argv)
             psm::cluster::Router router(ro);
             router.start();
 
-            ClusterLoadConfig cfg = load;
-            cfg.port = router.port();
-            cfg.first_gsid = phase_gsid;
+            psm::serve::LoadResult r = psm::serve::runLoad(
+                program, load, channels(router, phase_gsid));
             phase_gsid += 1000; // fresh sessions per width
-            ClusterLoadResult r =
-                psm::cluster::runClusterLoad(program, cfg);
             router.stop();
 
             width_rps.push_back(r.requests_per_sec);
@@ -406,21 +417,17 @@ main(int argc, char **argv)
         psm::cluster::Router router(ro);
         router.start();
 
-        ClusterLoadConfig cfg = load;
-        cfg.port = router.port();
-        cfg.first_gsid = 1;
+        psm::serve::LoadConfig cfg = load;
+        const std::uint64_t first_gsid = 1;
         // Roughly double the phase-A duration so the post-kill
         // window has enough samples for a p99.
         cfg.iterations = load.iterations * 2;
 
-        const double reqs_per_client =
-            static_cast<double>(cfg.iterations) *
-            (2.0 * static_cast<double>(cfg.asserts_per_iteration) +
-             (cfg.run_cycles > 0 ? 1.0 : 0.0));
-        const double expect_ms = cfg.arrival_rate_hz > 0
-                                     ? reqs_per_client /
-                                           cfg.arrival_rate_hz * 1e3
-                                     : 3000.0;
+        const double expect_ms =
+            cfg.arrival_rate_hz > 0
+                ? static_cast<double>(cfg.iterations) /
+                      cfg.arrival_rate_hz * 1e3
+                : 3000.0;
         const double kill_at_ms = expect_ms * 0.45;
 
         // Which sessions sit on the doomed slot? Reproduce the
@@ -429,8 +436,8 @@ main(int argc, char **argv)
         ring.addSlot(0);
         ring.addSlot(1);
         std::set<std::uint64_t> doomed;
-        for (std::uint64_t g = cfg.first_gsid;
-             g < cfg.first_gsid + cfg.sessions; ++g)
+        for (std::uint64_t g = first_gsid;
+             g < first_gsid + cfg.sessions; ++g)
             if (ring.slotFor(g) == 0)
                 doomed.insert(g);
 
@@ -440,20 +447,20 @@ main(int argc, char **argv)
                     static_cast<long>(kill_at_ms)));
             ::kill(ha0.pid, SIGKILL);
         });
-        ClusterLoadResult r =
-            psm::cluster::runClusterLoad(program, cfg);
+        psm::serve::LoadResult r = psm::serve::runLoad(
+            program, cfg, channels(router, first_gsid));
         killer.join();
         psm::cluster::RouterStats rs = router.stats();
         router.stop();
 
         const double end_ms = r.elapsed_seconds * 1e3;
-        auto survivors = [&](std::uint64_t g) {
-            return doomed.count(g) == 0;
+        auto survivors = [&](std::size_t session) {
+            return doomed.count(first_gsid + session) == 0;
         };
-        const double steady_p99 = psm::cluster::windowPercentile(
+        const double steady_p99 = psm::serve::windowPercentile(
             r.samples, 0.15 * kill_at_ms, kill_at_ms, 99.0,
             survivors);
-        const double after_p99 = psm::cluster::windowPercentile(
+        const double after_p99 = psm::serve::windowPercentile(
             r.samples, kill_at_ms, end_ms, 99.0, survivors);
 
         std::printf("  sessions on killed slot: %zu of %zu\n",

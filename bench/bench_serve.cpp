@@ -35,6 +35,7 @@ struct Point
 {
     std::size_t sessions = 0;
     std::size_t threads = 0;
+    std::uint64_t batches = 0;
     psm::serve::LoadResult result;
 };
 
@@ -51,13 +52,21 @@ sweepSessions(const std::shared_ptr<const psm::ops5::Program> &program,
     for (std::size_t n : {1, 2, 4, 8}) {
         psm::serve::LoadConfig cfg = base;
         cfg.sessions = n;
-        cfg.threads = std::min(n, hw);
+        psm::serve::PoolOptions popts;
+        popts.n_sessions = n;
+        popts.n_threads = std::min(n, hw);
+        psm::serve::SessionPool pool(program, popts);
         Point p;
         p.sessions = n;
-        p.threads = cfg.threads;
-        p.result = psm::serve::runLoad(program, cfg);
+        p.threads = popts.n_threads;
+        p.result = psm::serve::runLoad(program, cfg, [&] {
+            return std::make_unique<psm::serve::PoolChannel>(pool,
+                                                             *program);
+        });
+        pool.drain();
+        p.batches = pool.stats().batches;
         std::printf("%-8s %8zu %8zu %10llu %14.0f %9.1f %9.1f %9.1f\n",
-                    mix, n, cfg.threads,
+                    mix, n, p.threads,
                     static_cast<unsigned long long>(p.result.completed),
                     p.result.requests_per_sec, p.result.p50_us,
                     p.result.p95_us, p.result.p99_us);
@@ -89,8 +98,7 @@ emitRows(psm::bench::JsonResult &json, const char *mix,
         json.col("threads", static_cast<double>(p.threads));
         json.col("completed", static_cast<double>(p.result.completed));
         json.col("rejected", static_cast<double>(p.result.rejected));
-        json.col("batches",
-                 static_cast<double>(p.result.pool.batches));
+        json.col("batches", static_cast<double>(p.batches));
         json.col("requests_per_sec", p.result.requests_per_sec);
         json.col("wme_changes_per_sec", p.result.wme_changes_per_sec);
         json.col("p50_us", p.result.p50_us);

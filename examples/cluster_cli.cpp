@@ -37,7 +37,9 @@
  *   load      Cluster load driver (the E20 client side).
  *       --router H:P        router endpoint
  *       --sessions N --clients N --iterations N --asserts N
- *       --run-cycles N --deadline-us N --rate HZ
+ *       --run-cycles N --deadline-us N
+ *       --rate HZ           iterations per second per client
+ *                           (default 0 = closed loop)
  *       --first-gsid G      first session id (default 1)
  *       --json FILE         shared bench JSON schema
  *
@@ -427,7 +429,10 @@ runRouter(psm::cli::ArgReader &args)
 int
 runLoad(psm::cli::ArgReader &args, CommonFlags &common)
 {
-    psm::cluster::ClusterLoadConfig cfg;
+    psm::serve::LoadConfig cfg;
+    std::string host;
+    std::uint16_t port = 0;
+    std::uint64_t first_gsid = 1;
     std::string json_path;
     std::uint64_t deadline_us = 0;
     bool have_router = false;
@@ -439,7 +444,7 @@ runLoad(psm::cli::ArgReader &args, CommonFlags &common)
             common.preset_name = v;
         } else if (args.is("--router")) {
             const char *v = args.value();
-            if (!v || !parseEndpoint(v, cfg.host, cfg.port))
+            if (!v || !parseEndpoint(v, host, port))
                 return 2;
             have_router = true;
         } else if (args.is("--sessions")) {
@@ -464,7 +469,7 @@ runLoad(psm::cli::ArgReader &args, CommonFlags &common)
             if (!args.valueDouble(cfg.arrival_rate_hz))
                 return 2;
         } else if (args.is("--first-gsid")) {
-            if (!args.valueUint(cfg.first_gsid))
+            if (!args.valueUint(first_gsid))
                 return 2;
         } else if (args.is("--json")) {
             const char *v = args.value();
@@ -483,8 +488,10 @@ runLoad(psm::cli::ArgReader &args, CommonFlags &common)
 
     std::string workload_name;
     auto program = common.load(&workload_name);
-    psm::cluster::ClusterLoadResult r =
-        psm::cluster::runClusterLoad(program, cfg);
+    psm::serve::LoadResult r = psm::serve::runLoad(program, cfg, [&] {
+        return std::make_unique<psm::cluster::ClientChannel>(
+            host, port, first_gsid, *program);
+    });
 
     std::printf("workload:    %s\n", workload_name.c_str());
     std::printf("sessions:    %zu  (clients/s %zu)\n", cfg.sessions,

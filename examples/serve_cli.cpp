@@ -262,6 +262,7 @@ main(int argc, char **argv)
     std::string program_path, preset_name = "tiny";
     std::string json_path, metrics_path;
     psm::serve::LoadConfig cfg;
+    psm::serve::PoolOptions popts;
     std::uint64_t deadline_us = 0;
     psm::cli::DurableFlags durable_flags;
     bool recover_check = false;
@@ -286,7 +287,7 @@ main(int argc, char **argv)
         } else if (args.is("--recover-check")) {
             recover_check = true;
         } else if (args.is("--lint")) {
-            cfg.lint = true;
+            popts.lint = true;
         } else if (args.is("--preset")) {
             const char *v = args.value();
             if (!v)
@@ -296,7 +297,7 @@ main(int argc, char **argv)
             if (!args.valueSize(cfg.sessions))
                 return usage(argv[0]);
         } else if (args.is("--threads")) {
-            if (!args.valueSize(cfg.threads))
+            if (!args.valueSize(popts.n_threads))
                 return usage(argv[0]);
         } else if (args.is("--clients")) {
             if (!args.valueSize(cfg.clients_per_session))
@@ -319,22 +320,22 @@ main(int argc, char **argv)
         } else if (args.is("--matcher")) {
             const char *v = args.value();
             if (!v ||
-                !psm::serve::parseMatcherKind(v, cfg.matcher.kind)) {
+                !psm::serve::parseMatcherKind(v, popts.matcher.kind)) {
                 std::cerr << "error: --matcher needs rete, treat, "
                              "naive, fullstate, or parallel\n";
                 return 2;
             }
         } else if (args.is("--workers")) {
-            if (!args.valueSize(cfg.matcher.workers))
+            if (!args.valueSize(popts.matcher.workers))
                 return usage(argv[0]);
         } else if (args.is("--queue-capacity")) {
-            if (!args.valueSize(cfg.queue_capacity))
+            if (!args.valueSize(popts.queue_capacity))
                 return usage(argv[0]);
         } else if (args.is("--shed-watermark")) {
-            if (!args.valueSize(cfg.shed_watermark))
+            if (!args.valueSize(popts.shed_watermark))
                 return usage(argv[0]);
         } else if (args.is("--max-batch")) {
-            if (!args.valueSize(cfg.max_batch))
+            if (!args.valueSize(popts.max_batch))
                 return usage(argv[0]);
         } else if (args.is("--json")) {
             const char *v = args.value();
@@ -370,9 +371,10 @@ main(int argc, char **argv)
     }
     if (deadline_us > 0)
         cfg.deadline = std::chrono::microseconds(deadline_us);
-    cfg.durability = durable_flags.options;
-    cfg.restore = durable_flags.restore;
-    if (recover_check && !cfg.durability.enabled()) {
+    popts.n_sessions = cfg.sessions;
+    popts.durability = durable_flags.options;
+    popts.restore = durable_flags.restore;
+    if (recover_check && !popts.durability.enabled()) {
         std::cerr << "error: --recover-check needs --snapshot-dir\n";
         return 2;
     }
@@ -398,25 +400,21 @@ main(int argc, char **argv)
         // Verify recovery determinism against the raw on-disk state
         // BEFORE the pool opens it (begin() truncates torn tails).
         if (recover_check &&
-            !recoverCheck(program, cfg.durability.dir, cfg.sessions))
+            !recoverCheck(program, popts.durability.dir, cfg.sessions))
             return 1;
 
         // Observability plane: the crash flight recorder is armed
         // before the pool exists (recovery already records events);
-        // the hub + stats server attach to the pool's registry in
-        // on_start and detach in inspect, while the pool is alive.
+        // the hub + stats server attach to the pool's registry for
+        // the run and detach after the drain, while the pool is alive.
         if (!flight_path.empty())
             psm::obs::FlightRecorder::instance().installCrashDump(
                 flight_path.c_str());
+        psm::serve::SessionPool pool(program, popts);
         std::unique_ptr<psm::obs::MetricsHub> hub;
         std::unique_ptr<psm::obs::StatsServer> stats_server;
-        const bool want_hub = stats_port_set ||
-                              metrics_interval_s > 0 ||
-                              !flight_path.empty();
-
-        auto on_start = [&](psm::serve::SessionPool &pool) {
-            if (!want_hub)
-                return;
+        if (stats_port_set || metrics_interval_s > 0 ||
+            !flight_path.empty()) {
             psm::obs::HubOptions hopts;
             if (metrics_interval_s > 0) {
                 hopts.dump_to = &std::cerr;
@@ -452,32 +450,34 @@ main(int argc, char **argv)
                     stats_server.reset();
                 }
             }
-        };
+        }
 
+        psm::serve::LoadResult r =
+            psm::serve::runLoad(program, cfg, [&] {
+                return std::make_unique<psm::serve::PoolChannel>(
+                    pool, *program);
+            });
+        pool.shutdown();
+        // Last scrapeable moment: drain is done, pool still alive.
+        // Stop the server before the hub it reads.
+        stats_server.reset();
+        hub.reset();
+        const psm::serve::SessionPool::Stats stats = pool.stats();
         std::size_t recovered_sessions = 0;
         std::uint64_t wal_replayed = 0;
-        psm::serve::LoadResult r = psm::serve::runLoad(
-            program, cfg,
-            [&](psm::serve::SessionPool &pool) {
-                // Last scrapeable moment: drain is done, pool still
-                // alive. Stop the server before the hub it reads.
-                stats_server.reset();
-                hub.reset();
-                for (std::size_t i = 0; i < pool.sessionCount(); ++i) {
-                    const auto &rs = pool.recoveryStats(i);
-                    if (rs.recovered)
-                        ++recovered_sessions;
-                    wal_replayed += rs.wal_records_replayed;
-                }
-                if (metrics_path.empty())
-                    return;
-                std::ofstream out(metrics_path);
-                if (!out)
-                    throw std::runtime_error("cannot write " +
-                                             metrics_path);
-                pool.metrics().writeJson(out);
-            },
-            on_start);
+        for (std::size_t i = 0; i < pool.sessionCount(); ++i) {
+            const auto &rs = pool.recoveryStats(i);
+            if (rs.recovered)
+                ++recovered_sessions;
+            wal_replayed += rs.wal_records_replayed;
+        }
+        if (!metrics_path.empty()) {
+            std::ofstream out(metrics_path);
+            if (!out)
+                throw std::runtime_error("cannot write " +
+                                         metrics_path);
+            pool.metrics().writeJson(out);
+        }
 
         if (!flight_path.empty()) {
             psm::obs::flightRecord(
@@ -489,9 +489,9 @@ main(int argc, char **argv)
 
         std::printf("workload:        %s\n", workload_name.c_str());
         std::printf("matcher:         %s\n",
-                    psm::serve::matcherKindName(cfg.matcher.kind));
+                    psm::serve::matcherKindName(popts.matcher.kind));
         std::printf("sessions:        %zu  (threads %zu, clients/s %zu)\n",
-                    cfg.sessions, cfg.threads, cfg.clients_per_session);
+                    cfg.sessions, popts.n_threads, cfg.clients_per_session);
         std::printf("elapsed:         %.3f s\n", r.elapsed_seconds);
         std::printf("completed:       %llu  (expired %llu)\n",
                     static_cast<unsigned long long>(r.completed),
@@ -499,24 +499,24 @@ main(int argc, char **argv)
         std::printf("rejected:        %llu  (full %llu, overload %llu, "
                     "shutdown %llu)\n",
                     static_cast<unsigned long long>(r.rejected),
-                    static_cast<unsigned long long>(r.pool.rejected_full),
+                    static_cast<unsigned long long>(stats.rejected_full),
                     static_cast<unsigned long long>(
-                        r.pool.rejected_overload),
+                        stats.rejected_overload),
                     static_cast<unsigned long long>(
-                        r.pool.rejected_shutdown));
+                        stats.rejected_shutdown));
         std::printf("batches:         %llu\n",
-                    static_cast<unsigned long long>(r.pool.batches));
+                    static_cast<unsigned long long>(stats.batches));
         std::printf("throughput:      %.0f req/s  (%.0f wme-changes/s)\n",
                     r.requests_per_sec, r.wme_changes_per_sec);
         std::printf("latency (us):    p50 %.1f  p95 %.1f  p99 %.1f  "
                     "max %.1f\n",
                     r.p50_us, r.p95_us, r.p99_us, r.max_us);
-        if (cfg.durability.enabled())
+        if (popts.durability.enabled())
             std::printf("durability:      %s (wal %s); recovered "
                         "%zu/%zu sessions, %llu WAL records replayed\n",
-                        cfg.durability.dir.c_str(),
+                        popts.durability.dir.c_str(),
                         psm::durable::fsyncPolicyName(
-                            cfg.durability.fsync),
+                            popts.durability.fsync),
                         recovered_sessions, cfg.sessions,
                         static_cast<unsigned long long>(wal_replayed));
         if (!metrics_path.empty())
@@ -526,9 +526,9 @@ main(int argc, char **argv)
             psm::bench::JsonResult json("serve_cli");
             json.config("workload", workload_name);
             json.config("matcher", psm::serve::matcherKindName(
-                                       cfg.matcher.kind));
+                                       popts.matcher.kind));
             json.config("sessions", static_cast<double>(cfg.sessions));
-            json.config("threads", static_cast<double>(cfg.threads));
+            json.config("threads", static_cast<double>(popts.n_threads));
             json.config("clients_per_session",
                         static_cast<double>(cfg.clients_per_session));
             json.config("iterations",
@@ -546,8 +546,7 @@ main(int argc, char **argv)
             json.col("completed", static_cast<double>(r.completed));
             json.col("rejected", static_cast<double>(r.rejected));
             json.col("expired", static_cast<double>(r.expired));
-            json.col("batches",
-                     static_cast<double>(r.pool.batches));
+            json.col("batches", static_cast<double>(stats.batches));
             json.col("requests_per_sec", r.requests_per_sec);
             json.col("wme_changes_per_sec", r.wme_changes_per_sec);
             json.col("p50_us", r.p50_us);

@@ -1,8 +1,6 @@
 #include "cluster/load_driver.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <thread>
+#include <stdexcept>
 
 namespace psm::cluster {
 
@@ -103,239 +101,106 @@ Client::ping()
     rpc(std::move(frame));
 }
 
-namespace {
-
-double
-percentileOf(std::vector<double> &lat, double pct)
+ClientChannel::ClientChannel(std::string host, std::uint16_t port,
+                             std::uint64_t first_gsid,
+                             const ops5::Program &program)
+    : host_(std::move(host)), port_(port), first_gsid_(first_gsid)
 {
-    if (lat.empty())
-        return 0.0;
-    std::sort(lat.begin(), lat.end());
-    // Nearest-rank, like the serve driver's samplePercentile.
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(lat.size())));
-    if (rank == 0)
-        rank = 1;
-    return lat[std::min(rank, lat.size()) - 1];
-}
-
-/** Per-client accumulator, merged under a mutex at thread exit. */
-struct ClientTally
-{
-    std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t errors = 0;
-    std::vector<ClusterSample> samples;
-};
-
-} // namespace
-
-double
-windowPercentile(const std::vector<ClusterSample> &samples,
-                 double from_ms, double to_ms, double pct,
-                 const std::function<bool(std::uint64_t)> &gsid_filter)
-{
-    std::vector<double> lat;
-    for (const ClusterSample &s : samples) {
-        if (s.t_ms < from_ms || s.t_ms >= to_ms)
-            continue;
-        if (gsid_filter && !gsid_filter(s.gsid))
-            continue;
-        lat.push_back(s.latency_us);
-    }
-    return percentileOf(lat, pct);
-}
-
-ClusterLoadResult
-runClusterLoad(const std::shared_ptr<const ops5::Program> &program,
-               const ClusterLoadConfig &config)
-{
-    const ops5::SymbolTable &syms = program->symbols();
-    const auto &initial = program->initialWmes();
-    if (initial.empty())
-        throw ClusterError(
-            "cluster load needs a program with initial WMEs "
-            "(they are the assert templates)");
-
-    // Lift the templates to wire form once; every client shares them.
-    std::vector<serve::WireRequest> templates;
-    templates.reserve(initial.size());
-    for (const auto &tmpl : initial) {
+    // Lift the assert templates to wire form once.
+    const ops5::SymbolTable &syms = program.symbols();
+    for (const auto &tmpl : program.initialWmes()) {
         serve::WireRequest w;
         w.kind = serve::RequestKind::Assert;
         w.cls = std::string(syms.name(tmpl.cls));
         for (const ops5::Value &v : tmpl.fields)
             w.fields.push_back(serve::WireValue::of(v, syms));
-        templates.push_back(std::move(w));
+        templates_.push_back(std::move(w));
     }
-    const auto deadline_us =
-        static_cast<std::uint64_t>(config.deadline.count());
+}
 
-    std::mutex merge_mu;
-    ClusterLoadResult result;
-    const Clock::time_point start = Clock::now();
-
-    auto client_body = [&](std::uint64_t gsid, std::size_t client_ix) {
-        ClientTally tally;
-        std::unique_ptr<Client> cli;
-        auto connect = [&]() -> bool {
-            try {
-                cli = std::make_unique<Client>(config.host,
-                                               config.port);
-                return true;
-            } catch (const ClusterError &) {
-                return false;
-            }
-        };
-        if (!connect()) {
-            ++tally.errors;
-            std::lock_guard<std::mutex> lk(merge_mu);
-            result.errors += tally.errors;
-            return;
+std::uint64_t
+ClientChannel::send(std::size_t session, const serve::Op &op)
+{
+    const std::uint64_t token = next_token_++;
+    if (!client_ && !dead_) {
+        try {
+            client_ = std::make_unique<Client>(host_, port_);
+        } catch (const ClusterError &) {
+            dead_ = true;
         }
-
-        // One submit round-trip with sampling; returns false when the
-        // router itself is gone (after one reconnect attempt).
-        auto roundtrip = [&](const serve::WireRequest &w,
-                             serve::WireResponse *out) -> bool {
-            for (int attempt = 0; attempt < 2; ++attempt) {
-                const Clock::time_point t0 = Clock::now();
-                try {
-                    Client::Reply r = cli->submit(gsid, w);
-                    if (r.error) {
-                        // Routed error: a shard died under us. The
-                        // next request re-resolves placement, so just
-                        // count it and move on.
-                        ++tally.errors;
-                        return true;
-                    }
-                    const Clock::time_point t1 = Clock::now();
-                    if (!r.resp.accepted()) {
-                        ++tally.rejected;
-                        return true;
-                    }
-                    ++tally.completed;
-                    if (r.resp.deadline_expired)
-                        ++tally.expired;
-                    ClusterSample s;
-                    s.t_ms = std::chrono::duration<double,
-                                                   std::milli>(
-                                 t1 - start)
-                                 .count();
-                    s.latency_us =
-                        std::chrono::duration<double, std::micro>(
-                            t1 - t0)
-                            .count();
-                    s.gsid = gsid;
-                    tally.samples.push_back(s);
-                    if (out)
-                        *out = r.resp;
-                    return true;
-                } catch (const ClusterError &) {
-                    ++tally.errors;
-                    if (!connect())
-                        return false;
-                }
-            }
-            return false;
-        };
-
-        // Paced arrivals: each client ticks at its own rate, offset
-        // by client index so clients don't stampede in phase.
-        Clock::time_point next_tick = start;
-        std::chrono::nanoseconds interval{0};
-        if (config.arrival_rate_hz > 0.0) {
-            interval = std::chrono::nanoseconds(static_cast<long long>(
-                1e9 / config.arrival_rate_hz));
-            next_tick = start + interval * static_cast<long>(
-                                    client_ix % 16);
-        }
-        auto pace = [&]() {
-            if (interval.count() == 0)
-                return;
-            std::this_thread::sleep_until(next_tick);
-            next_tick += interval;
-            if (next_tick < Clock::now()) // too far behind: resync
-                next_tick = Clock::now();
-        };
-
-        std::vector<ops5::TimeTag> handles;
-        for (std::size_t it = 0; it < config.iterations; ++it) {
-            handles.clear();
-            for (std::size_t a = 0; a < config.asserts_per_iteration;
-                 ++a) {
-                pace();
-                serve::WireRequest w =
-                    templates[(it + a) % templates.size()];
-                w.deadline_us = deadline_us;
-                serve::WireResponse resp;
-                if (!roundtrip(w, &resp))
-                    return; // router unreachable: give up
-                if (resp.kind == serve::RequestKind::Assert &&
-                    resp.accepted() && !resp.deadline_expired &&
-                    resp.tag != 0)
-                    handles.push_back(resp.tag);
-            }
-            if (config.run_cycles > 0) {
-                pace();
-                serve::WireRequest w;
-                w.kind = serve::RequestKind::Run;
-                w.max_cycles = config.run_cycles;
-                w.deadline_us = deadline_us;
-                if (!roundtrip(w, nullptr))
-                    return;
-            }
-            for (ops5::TimeTag tag : handles) {
-                pace();
-                serve::WireRequest w;
-                w.kind = serve::RequestKind::Retract;
-                w.tag = tag;
-                w.deadline_us = deadline_us;
-                if (!roundtrip(w, nullptr))
-                    return;
-            }
-        }
-        std::lock_guard<std::mutex> lk(merge_mu);
-        result.completed += tally.completed;
-        result.rejected += tally.rejected;
-        result.expired += tally.expired;
-        result.errors += tally.errors;
-        result.samples.insert(result.samples.end(),
-                              tally.samples.begin(),
-                              tally.samples.end());
-    };
-
-    std::vector<std::thread> clients;
-    clients.reserve(config.sessions * config.clients_per_session);
-    std::size_t client_ix = 0;
-    for (std::size_t s = 0; s < config.sessions; ++s)
-        for (std::size_t c = 0; c < config.clients_per_session; ++c)
-            clients.emplace_back(client_body, config.first_gsid + s,
-                                 client_ix++);
-    for (std::thread &t : clients)
-        t.join();
-
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    result.elapsed_seconds = elapsed;
-    result.requests_per_sec =
-        elapsed > 0.0
-            ? static_cast<double>(result.completed + result.rejected) /
-                  elapsed
-            : 0.0;
-
-    std::vector<double> lat;
-    lat.reserve(result.samples.size());
-    for (const ClusterSample &s : result.samples)
-        lat.push_back(s.latency_us);
-    if (!lat.empty()) {
-        result.max_us = *std::max_element(lat.begin(), lat.end());
-        result.p50_us = percentileOf(lat, 50.0);
-        result.p95_us = percentileOf(lat, 95.0);
-        result.p99_us = percentileOf(lat, 99.0);
     }
-    return result;
+    if (!client_) {
+        answered_[token].done_at = Clock::now(); // Lost
+        return token;
+    }
+
+    serve::WireRequest w;
+    if (op.kind == serve::RequestKind::Assert) {
+        w = templates_[op.tmpl];
+    } else if (op.kind == serve::RequestKind::Retract) {
+        w.kind = serve::RequestKind::Retract;
+        w.tag = op.tag;
+    } else {
+        w.kind = serve::RequestKind::Run;
+        w.max_cycles = op.cycles;
+    }
+    w.deadline_us = static_cast<std::uint64_t>(op.deadline.count());
+    try {
+        in_flight_.emplace(client_->sendSubmit(first_gsid_ + session, w),
+                           token);
+    } catch (const ClusterError &) {
+        answered_[token].done_at = Clock::now(); // Lost
+        lose();
+    }
+    return token;
+}
+
+serve::Answer
+ClientChannel::wait(std::uint64_t token)
+{
+    using Status = serve::Answer::Status;
+    for (;;) {
+        auto it = answered_.find(token);
+        if (it != answered_.end()) {
+            serve::Answer a = it->second;
+            answered_.erase(it);
+            return a;
+        }
+        if (!client_) // never sent, or already collected
+            return serve::Answer{};
+        try {
+            Client::Reply r = client_->readReply();
+            serve::Answer a;
+            a.done_at = Clock::now();
+            if (r.error)
+                a.status = Status::Lost; // routed: a shard died
+            else if (!r.resp.accepted())
+                a.status = Status::Rejected;
+            else if (r.resp.deadline_expired)
+                a.status = Status::Expired;
+            else
+                a.status = Status::Ok;
+            a.tag = r.resp.tag;
+            auto f = in_flight_.find(r.req_id);
+            if (f != in_flight_.end()) {
+                answered_.emplace(f->second, a);
+                in_flight_.erase(f);
+            }
+        } catch (const std::runtime_error &) {
+            // Transport loss, or a reply that does not decode.
+            lose();
+        }
+    }
+}
+
+void
+ClientChannel::lose()
+{
+    const Clock::time_point now = Clock::now();
+    for (const auto &[req_id, token] : in_flight_)
+        answered_[token].done_at = now; // Lost
+    in_flight_.clear();
+    client_.reset();
 }
 
 } // namespace psm::cluster

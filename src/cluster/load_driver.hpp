@@ -1,37 +1,32 @@
 /**
  * @file
- * Cluster client and load driver.
+ * Cluster client and the load driver's protocol channel.
  *
  * Client: a blocking connection to the router (or directly to a
  * worker — same protocol) with synchronous RPCs and a pipelined
  * submit path. Submit outcomes are three-valued: a typed WireResponse
  * (possibly an admission rejection), a routed Error (e.g. "slot 2
  * died" mid-failover), or transport loss — the load driver counts
- * all three rather than conflating them, because E20's failover
- * experiment is precisely about their proportions over time.
+ * them apart, because E20's failover experiment is precisely about
+ * their proportions over time.
  *
- * Load driver: extends the serve layer's closed/paced mix across the
- * process boundary. Each client thread owns one connection, is bound
- * to one global session id, and plays the E15 iteration (assert
- * burst → optional Run → retract by tag). Every response is recorded
- * as a timestamped sample so callers can compute windowed
- * percentiles — p99 before vs after a shard kill — not just
- * whole-run aggregates.
+ * ClientChannel: carries serve::runLoad's E15 iteration across the
+ * process boundary, one connection per client thread.
  */
 
 #ifndef PSM_CLUSTER_LOAD_DRIVER_HPP
 #define PSM_CLUSTER_LOAD_DRIVER_HPP
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/protocol.hpp"
 #include "cluster/socket.hpp"
 #include "ops5/production.hpp"
+#include "serve/load_driver.hpp"
 #include "serve/wire.hpp"
 
 namespace psm::cluster {
@@ -84,63 +79,40 @@ class Client
     std::uint64_t next_req_id_ = 1;
 };
 
-struct ClusterLoadConfig
-{
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-
-    std::size_t sessions = 2;      ///< gsids first_gsid..+sessions-1
-    std::uint64_t first_gsid = 1;
-    std::size_t clients_per_session = 1;
-    std::size_t iterations = 100; ///< per client
-    std::size_t asserts_per_iteration = 4;
-    std::uint64_t run_cycles = 0; ///< 0 = no Run per iteration
-
-    std::chrono::microseconds deadline{0};
-    double arrival_rate_hz = 0.0; ///< per client; 0 = closed loop
-};
-
-/** One response, stamped relative to load start. */
-struct ClusterSample
-{
-    double t_ms = 0.0;
-    double latency_us = 0.0;
-    std::uint64_t gsid = 0;
-};
-
-struct ClusterLoadResult
-{
-    double elapsed_seconds = 0.0;
-    std::uint64_t completed = 0; ///< typed responses received
-    std::uint64_t rejected = 0;  ///< admission rejections
-    std::uint64_t expired = 0;   ///< deadline-expired completions
-    std::uint64_t errors = 0;    ///< routed errors + transport loss
-    double requests_per_sec = 0.0;
-
-    double p50_us = 0.0;
-    double p95_us = 0.0;
-    double p99_us = 0.0;
-    double max_us = 0.0;
-
-    std::vector<ClusterSample> samples;
-};
-
 /**
- * Percentile of sample latencies within [from_ms, to_ms), optionally
- * restricted by a gsid filter (nullptr = all). The E20 harness uses
- * this for "surviving shards' p99 after the kill".
+ * serve::runLoad's channel over one protocol connection: session s is
+ * gsid first_gsid + s, replies match tokens by req_id, and done_at is
+ * stamped when the reply frame is read. A routed Error answers Lost.
+ * Transport loss answers everything in flight Lost and drops the
+ * connection; the next send makes one connection attempt, and once
+ * an attempt fails every later send answers Lost. Nothing is resent.
  */
-double windowPercentile(
-    const std::vector<ClusterSample> &samples, double from_ms,
-    double to_ms, double pct,
-    const std::function<bool(std::uint64_t)> &gsid_filter = {});
+class ClientChannel : public serve::Channel
+{
+  public:
+    ClientChannel(std::string host, std::uint16_t port,
+                  std::uint64_t first_gsid,
+                  const ops5::Program &program);
 
-/** Runs the load against a router endpoint. The program supplies the
- *  request vocabulary (its initial WMEs are the class/field
- *  templates), exactly like the in-process driver. */
-ClusterLoadResult
-runClusterLoad(const std::shared_ptr<const ops5::Program> &program,
-               const ClusterLoadConfig &config);
+    std::uint64_t send(std::size_t session,
+                       const serve::Op &op) override;
+    serve::Answer wait(std::uint64_t token) override;
+
+  private:
+    /** Answers everything in flight Lost and drops the connection. */
+    void lose();
+
+    std::string host_;
+    std::uint16_t port_;
+    std::uint64_t first_gsid_;
+    std::vector<serve::WireRequest> templates_;
+    std::unique_ptr<Client> client_;
+    bool dead_ = false; ///< a connection attempt failed
+    std::uint64_t next_token_ = 1;
+    std::unordered_map<std::uint64_t, std::uint64_t>
+        in_flight_; ///< req_id -> token
+    std::unordered_map<std::uint64_t, serve::Answer> answered_;
+};
 
 } // namespace psm::cluster
 

@@ -340,6 +340,29 @@ TEST(Cluster, EndToEndServeRunRetract)
     EXPECT_EQ(rs.failovers, 0u);
 }
 
+TEST(Cluster, LoadDriverThroughRouter)
+{
+    MiniCluster mc("load");
+    auto program =
+        ops5::parse(std::string(kJobs) + "(make job ^id 0)\n");
+    serve::LoadConfig cfg;
+    cfg.sessions = 3;
+    cfg.clients_per_session = 2;
+    cfg.iterations = 5;
+    cfg.asserts_per_iteration = 2;
+    cfg.run_cycles = 2;
+    serve::LoadResult r = serve::runLoad(program, cfg, [&] {
+        return std::make_unique<ClientChannel>(
+            "127.0.0.1", mc.router->port(), 1, *program);
+    });
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_EQ(r.rejected, 0u);
+    // sessions x clients x iterations x (2 * asserts + Run).
+    EXPECT_EQ(r.completed, 3u * 2u * 5u * (2u * 2u + 1u));
+    EXPECT_EQ(r.samples.size(), r.completed);
+    EXPECT_LE(r.p50_us, r.p99_us);
+}
+
 TEST(Cluster, LiveMigrationKeepsHandlesAndOrdering)
 {
     MiniCluster mc("migrate");

@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -499,39 +501,251 @@ TEST(ServeTest, MatcherSpecParsesAllKinds)
                  "fullstate");
 }
 
+/** kJobs plus one initial WME: the driver's assert template. */
+std::shared_ptr<const ops5::Program>
+jobsProgramWithTemplate()
+{
+    return ops5::parse(std::string(kJobs) + "(make job ^id 0)\n");
+}
+
 TEST(ServeTest, LoadDriverClosedLoopSmoke)
 {
-    auto prog = jobsProgram();
-    // The driver needs initial WMEs as request templates; kJobs has
-    // none, so give it one.
-    auto with_initial = ops5::parse(R"(
-(literalize job id)
-(literalize done id)
-(p work (job ^id <i>) --> (make done ^id <i>) (remove 1))
-(make job ^id 0)
-)");
+    auto with_initial = jobsProgramWithTemplate();
+    PoolOptions opts;
+    opts.n_sessions = 2;
+    SessionPool pool(with_initial, opts);
+    auto channels = [&] {
+        return std::make_unique<PoolChannel>(pool, *with_initial);
+    };
     LoadConfig cfg;
     cfg.sessions = 2;
-    cfg.threads = 1;
     cfg.clients_per_session = 2;
     cfg.iterations = 10;
     cfg.asserts_per_iteration = 2;
-    bool inspected = false;
-    LoadResult r = runLoad(with_initial, cfg,
-                           [&](SessionPool &pool) {
-                               inspected = true;
-                               EXPECT_FALSE(pool.accepting());
-                           });
-    EXPECT_TRUE(inspected);
+    LoadResult r = runLoad(with_initial, cfg, channels);
+    pool.drain();
     EXPECT_EQ(r.rejected, 0u);
-    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.errors, 0u);
+    // 4 clients x 10 iterations x (2 asserts + 2 retracts).
+    EXPECT_EQ(r.completed, 160u);
+    EXPECT_EQ(r.completed, pool.stats().completed);
+    EXPECT_EQ(r.samples.size(), r.completed);
     EXPECT_GT(r.requests_per_sec, 0.0);
     EXPECT_LE(r.p50_us, r.p95_us);
     EXPECT_LE(r.p95_us, r.p99_us);
     EXPECT_LE(r.p99_us, r.max_us);
 
-    EXPECT_THROW(runLoad(prog, cfg), std::runtime_error)
+    EXPECT_THROW(runLoad(jobsProgram(), cfg, channels),
+                 std::runtime_error)
         << "programs without initial WMEs have no request templates";
+}
+
+/** Scripted channel: answers every send at once with the status its
+ *  script picks, logs the send, and spreads done_at so latencies
+ *  differ. */
+class FakeChannel : public Channel
+{
+  public:
+    using Script = std::function<Answer::Status(const Op &)>;
+
+    FakeChannel(std::vector<Op> &log, Script script)
+        : log_(log), script_(std::move(script))
+    {}
+
+    std::uint64_t
+    send(std::size_t, const Op &op) override
+    {
+        log_.push_back(op);
+        Answer a;
+        a.status = script_(op);
+        if (op.kind == RequestKind::Assert &&
+            a.status != Answer::Status::Rejected)
+            a.tag = next_tag_++;
+        a.done_at = ServeClock::now() +
+                    std::chrono::microseconds(10 * (log_.size() % 7));
+        answers_.emplace(next_token_, a);
+        return next_token_++;
+    }
+
+    Answer
+    wait(std::uint64_t token) override
+    {
+        Answer a = answers_.at(token);
+        answers_.erase(token);
+        return a;
+    }
+
+  private:
+    std::vector<Op> &log_;
+    Script script_;
+    std::uint64_t next_token_ = 1;
+    ops5::TimeTag next_tag_ = 100;
+    std::map<std::uint64_t, Answer> answers_;
+};
+
+/** One client, one session: every send lands in @p log. */
+LoadResult
+runScripted(const LoadConfig &cfg, std::vector<Op> &log,
+            FakeChannel::Script script)
+{
+    return runLoad(jobsProgramWithTemplate(), cfg, [&] {
+        return std::make_unique<FakeChannel>(log, script);
+    });
+}
+
+std::size_t
+countKind(const std::vector<Op> &log, RequestKind kind)
+{
+    return static_cast<std::size_t>(
+        std::count_if(log.begin(), log.end(),
+                      [&](const Op &op) { return op.kind == kind; }));
+}
+
+TEST(ServeTest, LoadDriverRetractsOnlyOkAssertsAndCountsApart)
+{
+    // Asserts answer Ok, Rejected, Expired, Lost in turn; every
+    // other request answers Ok.
+    std::size_t nth_assert = 0;
+    std::vector<Op> log;
+    FakeChannel::Script script = [&](const Op &op) {
+        if (op.kind != RequestKind::Assert)
+            return Answer::Status::Ok;
+        static constexpr Answer::Status kCycle[] = {
+            Answer::Status::Ok, Answer::Status::Rejected,
+            Answer::Status::Expired, Answer::Status::Lost};
+        return kCycle[nth_assert++ % 4];
+    };
+    LoadConfig cfg;
+    cfg.iterations = 10;
+    cfg.asserts_per_iteration = 4;
+    cfg.run_cycles = 3;
+    LoadResult r = runScripted(cfg, log, script);
+
+    // The fake numbers assert tags from 100 in send order, skipping
+    // rejected ones; the Ok asserts are every fourth send.
+    ops5::TimeTag tag = 100;
+    std::size_t i = 0;
+    std::set<ops5::TimeTag> ok_tags, retracted;
+    for (const Op &op : log) {
+        if (op.kind == RequestKind::Assert) {
+            if (i % 4 == 0)
+                ok_tags.insert(tag);
+            if (i % 4 != 1)
+                ++tag;
+            ++i;
+        } else if (op.kind == RequestKind::Retract) {
+            EXPECT_TRUE(retracted.insert(op.tag).second)
+                << "tag " << op.tag << " retracted twice";
+        }
+    }
+    EXPECT_EQ(countKind(log, RequestKind::Assert), 40u);
+    EXPECT_EQ(retracted, ok_tags);
+    EXPECT_EQ(countKind(log, RequestKind::Run), 10u);
+    for (const Op &op : log)
+        EXPECT_TRUE(op.kind != RequestKind::Run || op.cycles == 3u);
+
+    // Ok: 10 asserts + 10 retracts + 10 runs; 10 expired.
+    EXPECT_EQ(r.completed, 40u);
+    EXPECT_EQ(r.expired, 10u);
+    EXPECT_EQ(r.rejected, 10u);
+    EXPECT_EQ(r.errors, 10u);
+    EXPECT_EQ(r.samples.size(), r.completed);
+    EXPECT_GT(r.max_us, 0.0);
+    EXPECT_LE(r.p50_us, r.p95_us);
+    EXPECT_LE(r.p95_us, r.p99_us);
+    EXPECT_LE(r.p99_us, r.max_us);
+}
+
+TEST(ServeTest, LoadDriverSendsRunOnlyWithRunCycles)
+{
+    std::vector<Op> log;
+    auto ok = [](const Op &) { return Answer::Status::Ok; };
+    LoadConfig cfg;
+    cfg.iterations = 5;
+    cfg.asserts_per_iteration = 2;
+    LoadResult r = runScripted(cfg, log, ok);
+    EXPECT_EQ(countKind(log, RequestKind::Run), 0u);
+    EXPECT_EQ(r.completed, 5u * 4u);
+
+    log.clear();
+    cfg.run_cycles = 1;
+    r = runScripted(cfg, log, ok);
+    EXPECT_EQ(countKind(log, RequestKind::Run), 5u);
+    EXPECT_EQ(r.completed, 5u * 5u);
+}
+
+TEST(ServeTest, LoadDriverKeepsTallyOfAChannelThatDies)
+{
+    // The channel answers its first N sends, then loses every later
+    // one for good: the client's completions are still counted.
+    constexpr std::size_t kN = 5;
+    std::size_t sent = 0;
+    std::vector<Op> log;
+    LoadConfig cfg;
+    cfg.iterations = 10;
+    cfg.asserts_per_iteration = 2;
+    LoadResult r = runScripted(cfg, log, [&](const Op &) {
+        return ++sent <= kN ? Answer::Status::Ok : Answer::Status::Lost;
+    });
+    EXPECT_EQ(r.completed, kN);
+    EXPECT_GE(r.errors, 1u);
+    EXPECT_EQ(r.samples.size(), kN);
+}
+
+TEST(ServeTest, LoadDriverNeverResendsALostRequest)
+{
+    // The second assert's reply is dropped: it is sent once, counted
+    // once as an error, and every iteration still runs to its end.
+    std::size_t nth_assert = 0;
+    std::vector<Op> log;
+    LoadConfig cfg;
+    cfg.iterations = 4;
+    cfg.asserts_per_iteration = 2;
+    cfg.run_cycles = 1;
+    LoadResult r = runScripted(cfg, log, [&](const Op &op) {
+        if (op.kind == RequestKind::Assert && nth_assert++ == 1)
+            return Answer::Status::Lost;
+        return Answer::Status::Ok;
+    });
+    EXPECT_EQ(countKind(log, RequestKind::Assert), 8u);
+    EXPECT_EQ(countKind(log, RequestKind::Retract), 7u);
+    EXPECT_EQ(countKind(log, RequestKind::Run), 4u);
+    EXPECT_EQ(r.errors, 1u);
+    EXPECT_EQ(r.completed, 7u + 7u + 4u);
+}
+
+TEST(ServeTest, LoadDriverRethrowsAClientFailure)
+{
+    std::vector<Op> log;
+    LoadConfig cfg;
+    cfg.iterations = 3;
+    EXPECT_THROW(runScripted(cfg, log,
+                             [](const Op &) -> Answer::Status {
+                                 throw std::logic_error("channel bug");
+                             }),
+                 std::logic_error);
+}
+
+TEST(ServeTest, WindowPercentileHonoursWindowAndSessionFilter)
+{
+    std::vector<LoadSample> samples;
+    for (std::size_t session = 0; session < 2; ++session)
+        for (int t = 0; t < 10; ++t) {
+            LoadSample s;
+            s.t_ms = t;
+            s.latency_us = 1000.0 * static_cast<double>(session) + 100 + t;
+            s.session = session;
+            samples.push_back(s);
+        }
+    auto only = [](std::size_t want) {
+        return [want](std::size_t s) { return s == want; };
+    };
+    // [2, 5) holds t = 2, 3, 4 of each session.
+    EXPECT_EQ(windowPercentile(samples, 2, 5, 100, only(0)), 104.0);
+    EXPECT_EQ(windowPercentile(samples, 2, 5, 0, only(1)), 1102.0);
+    EXPECT_EQ(windowPercentile(samples, 2, 5, 50), 104.0);
+    EXPECT_EQ(windowPercentile(samples, 2, 5, 100), 1104.0);
+    EXPECT_EQ(windowPercentile(samples, 10, 20, 99), 0.0);
 }
 
 /** Canonical conflict-set snapshot: sorted (production, tags) keys. */
