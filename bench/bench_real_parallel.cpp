@@ -7,8 +7,12 @@
  * Note: with tasks of 50-100 "instructions" the software scheduling
  * overhead on a stock CPU dominates unless many cores are available
  * — measured here deliberately, because it is exactly the effect
- * that motivates the paper's hardware task scheduler. The simulated
- * PSM results live in the fig6_* binaries.
+ * that motivates the paper's hardware task scheduler. The
+ * BM_ParallelRete* rows run the default wake floor, so the daa
+ * batches run inline on the submitter; the BM_FineGrain* rows set the
+ * floor to 0 and keep measuring the fine-grain worker path on the
+ * same batches. The BM_GrowthSweep* rows fix the floor (E9). The
+ * simulated PSM results live in the fig6_* binaries.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +22,7 @@
 #include "core/parallel_matcher.hpp"
 #include "gbench_json.hpp"
 #include "core/production_parallel.hpp"
+#include "core/telemetry.hpp"
 #include "rete/matcher.hpp"
 #include "treat/naive.hpp"
 #include "treat/treat.hpp"
@@ -201,17 +206,23 @@ BM_ProductionParallel(benchmark::State &state)
  * so the TSan bench run exercises both task-pool backends.
  */
 void
-parallelReteBench(benchmark::State &state, core::SchedulerKind kind)
+parallelReteBench(benchmark::State &state, core::SchedulerKind kind,
+                  rete::CostModel cost = {})
 {
     std::size_t workers = static_cast<std::size_t>(state.range(0));
-    runBatches(state, [workers, kind] {
+    runBatches(state, [workers, kind, cost] {
         core::ParallelOptions opt;
         opt.n_workers = workers;
         opt.scheduler = kind;
         return std::make_unique<core::ParallelReteMatcher>(
-            Workload::instance().program, opt);
+            Workload::instance().program, opt, cost);
     });
 }
+
+/** Wake floor 0: every batch goes through the workers. */
+const rete::CostModel kFineGrain{.worker_wake = 0};
+/** Wake floor at its maximum: every batch runs inline. */
+const rete::CostModel kAllInline{.worker_wake = UINT32_MAX};
 
 void
 BM_ParallelReteCentral(benchmark::State &state)
@@ -223,6 +234,79 @@ void
 BM_ParallelReteLockFree(benchmark::State &state)
 {
     parallelReteBench(state, core::SchedulerKind::LockFree);
+}
+
+void
+BM_FineGrainCentral(benchmark::State &state)
+{
+    parallelReteBench(state, core::SchedulerKind::Central, kFineGrain);
+}
+
+void
+BM_FineGrainLockFree(benchmark::State &state)
+{
+    parallelReteBench(state, core::SchedulerKind::LockFree, kFineGrain);
+}
+
+/**
+ * The batch-size sweep that fixes CostModel::worker_wake: the first
+ * kSweepChanges changes of the growth schedule, cut into batches of
+ * range(0) changes, through /3 LockFree either all inline or all on
+ * the workers. An untimed telemetry replay adds batch_cost_p50, the
+ * median modeled batch cost, so the crossover batch size reads as a
+ * floor in the cost model's units, and the replay's park counts.
+ */
+constexpr std::size_t kSweepChanges = 4096;
+
+void
+growthSweep(benchmark::State &state, const rete::CostModel &cost)
+{
+    const GrowthWorkload &w = GrowthWorkload::instance();
+    const std::size_t size = static_cast<std::size_t>(state.range(0));
+    std::vector<std::vector<ops5::WmeChange>> batches(1);
+    std::size_t taken = 0;
+    for (const auto &batch : w.batches) {
+        for (const ops5::WmeChange &change : batch) {
+            if (taken == kSweepChanges)
+                break;
+            if (batches.back().size() == size)
+                batches.emplace_back();
+            batches.back().push_back(change);
+            ++taken;
+        }
+    }
+    auto make = [&w, &cost] {
+        core::ParallelOptions opt;
+        opt.n_workers = 3;
+        return std::make_unique<core::ParallelReteMatcher>(w.program, opt,
+                                                           cost);
+    };
+    replayBatches(state, batches, taken, make);
+
+    auto probe = make();
+    const telemetry::Registry *reg = probe->enableTelemetry();
+    for (const auto &batch : batches)
+        probe->processChanges(batch);
+    state.counters["batch_cost_p50"] =
+        reg->merged(telemetry::Histogram::BatchCostInstr).percentile(50);
+    // Parks (between and within batches), and the mid-batch ones a
+    // lost wake-up ended on the backstop.
+    state.counters["worker_parks"] = static_cast<double>(
+        reg->total(telemetry::Counter::WorkerParks));
+    state.counters["park_timeouts"] = static_cast<double>(
+        reg->total(telemetry::Counter::ParkTimeouts));
+}
+
+void
+BM_GrowthSweepInline(benchmark::State &state)
+{
+    growthSweep(state, kAllInline);
+}
+
+void
+BM_GrowthSweepFineGrain(benchmark::State &state)
+{
+    growthSweep(state, kFineGrain);
 }
 
 } // namespace
@@ -244,6 +328,24 @@ BENCHMARK(BM_ParallelReteCentral)
 BENCHMARK(BM_ParallelReteLockFree)
     ->Arg(1)
     ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FineGrainCentral)
+    ->Arg(1)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FineGrainLockFree)
+    ->Arg(1)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GrowthSweepInline)
+    ->RangeMultiplier(2)
+    ->Range(1, 64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GrowthSweepFineGrain)
+    ->RangeMultiplier(2)
+    ->Range(1, 64)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 int

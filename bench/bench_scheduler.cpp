@@ -162,7 +162,9 @@ BM_DispatchLockFree(benchmark::State &state)
     dispatchThreaded(state, pool);
 }
 
-/** Full matcher under each scheduler kind. */
+/** Full matcher under each scheduler kind. The wake floor is 0: these
+ *  4-change batches would otherwise run inline and never reach the
+ *  scheduler being compared. */
 void
 matcherBench(benchmark::State &state, core::SchedulerKind kind,
              std::size_t workers)
@@ -184,7 +186,7 @@ matcherBench(benchmark::State &state, core::SchedulerKind kind,
         opt.n_workers = workers;
         opt.scheduler = kind;
         auto matcher = std::make_unique<core::ParallelReteMatcher>(
-            program, opt);
+            program, opt, rete::CostModel{.worker_wake = 0});
         state.ResumeTiming();
         for (const auto &batch : batches)
             matcher->processChanges(batch);

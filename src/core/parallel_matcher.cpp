@@ -41,9 +41,8 @@ ParallelReteMatcher::ParallelReteMatcher(
                                                networkOptions())),
       worker_stats_(options.n_workers + 1)
 {
-    // With no workers there is one lane and nothing to steal, and the
-    // central queue's plain FIFO is the cheaper structure (E9's /0
-    // rows), so the lock-free pool only runs once workers exist.
+    // With no workers every batch runs inline and no queue is used,
+    // so the lock-free pool only exists once workers do.
     if (options_.scheduler == SchedulerKind::LockFree &&
         options_.n_workers > 0)
         lockfree_ = std::make_unique<LockFreeTaskPool<PTask>>(
@@ -102,9 +101,13 @@ void
 ParallelReteMatcher::spawn(PTask task, std::size_t worker,
                            telemetry::Registry *t)
 {
-    pending_.fetch_add(1, std::memory_order_relaxed);
     if (t)
         t->count(worker, telemetry::Counter::TasksSpawned);
+    if (inline_) {
+        stack_.push_back(std::move(task));
+        return;
+    }
+    pending_.fetch_add(1, std::memory_order_relaxed);
     if (lockfree_)
         lockfree_->push(std::move(task), worker);
     else
@@ -127,19 +130,7 @@ ParallelReteMatcher::tryRunOne(std::size_t worker,
         lockfree_ ? lockfree_->tryPop(worker) : central_.tryPop(worker);
     if (!task)
         return false;
-    if (spans_) {
-        rete::RealSpan span;
-        span.node_id = task->node->id;
-        span.kind = task->node->kind;
-        span.insert = task->insert;
-        span.cycle = cycle_;
-        span.start_ns = rete::spanClockNanos();
-        runTask(*task, worker, t);
-        span.end_ns = rete::spanClockNanos();
-        spans_->record(worker, span);
-    } else {
-        runTask(*task, worker, t);
-    }
+    runRecorded(*task, worker, t);
     // Release order so the submitter's pending_ == 0 read observes
     // every side effect of the batch.
     if (pending_.fetch_sub(1, std::memory_order_release) == 1 &&
@@ -151,6 +142,25 @@ ParallelReteMatcher::tryRunOne(std::size_t worker,
         idle_cv_.notify_all();
     }
     return true;
+}
+
+void
+ParallelReteMatcher::runRecorded(const PTask &task, std::size_t worker,
+                                 telemetry::Registry *t)
+{
+    if (!spans_) {
+        runTask(task, worker, t);
+        return;
+    }
+    rete::RealSpan span;
+    span.node_id = task.node->id;
+    span.kind = task.node->kind;
+    span.insert = task.insert;
+    span.cycle = cycle_;
+    span.start_ns = rete::spanClockNanos();
+    runTask(task, worker, t);
+    span.end_ns = rete::spanClockNanos();
+    spans_->record(worker, span);
 }
 
 bool
@@ -168,16 +178,25 @@ ParallelReteMatcher::midBatchPark(std::size_t worker,
         return true;
     }
     std::uint64_t park_start = t ? rete::spanClockNanos() : 0;
+    // A wait that ends on the backstop with work still pending is a
+    // wake-up the relaxed idle_waiters_ check in spawn() lost.
+    bool lost_wakeup = false;
     idle_mutex_.lock();
     if (!stop_.load(std::memory_order_relaxed) &&
         work_gen_ == seen_work &&
         pending_.load(std::memory_order_acquire) > 0) {
-        idle_cv_.wait_for(idle_mutex_, std::chrono::microseconds(200));
+        bool timed_out =
+            idle_cv_.wait_for(idle_mutex_, std::chrono::microseconds(200)) ==
+            std::cv_status::timeout;
+        lost_wakeup =
+            timed_out && pending_.load(std::memory_order_acquire) > 0;
     }
     seen_work = work_gen_;
     idle_mutex_.unlock();
     idle_waiters_.fetch_sub(1, std::memory_order_relaxed);
     if (t) {
+        if (lost_wakeup)
+            t->count(worker, telemetry::Counter::ParkTimeouts);
         t->count(worker, telemetry::Counter::WorkerParks);
         t->observe(worker, telemetry::Histogram::SpinsBeforePark,
                    misses);
@@ -285,25 +304,109 @@ ParallelReteMatcher::processChanges(
     if (spans_)
         spans_->beginCycle(cycle_);
 
-    // Seed: all changes of the firing enter the network concurrently
-    // (the paper's "multiple changes to working memory are processed
-    // in parallel").
+    // Seed: the submitter walks every change's constant-test chains
+    // (stateless, a few instructions each, far below task
+    // granularity) and sums the modeled cost of the probes the batch
+    // starts. The walk reads memory sizes, which is safe: the
+    // previous batch has drained and no task of this one exists yet.
+    MatchStats &st = worker_stats_[0].stats;
+    seeds_.clear();
+    std::uint64_t batch_cost = 0;
     for (const ops5::WmeChange &change : changes) {
-        ++worker_stats_[0].stats.changes_processed;
+        ++st.changes_processed;
         if (is_cancelled(change.wme))
             continue;
-        worker_stats_[0].stats.instructions += cost_.root_dispatch;
-        ++worker_stats_[0].stats.activations;
-        bool insert = change.kind == ops5::ChangeKind::Insert;
-        for (Node *head : network_->classRoots(change.wme->className())) {
-            PTask task;
-            task.node = head;
-            task.insert = insert;
-            task.wme = change.wme;
-            spawn(std::move(task), 0, t);
-        }
+        st.instructions += cost_.root_dispatch;
+        ++st.activations;
+        batch_cost += seedChange(change);
     }
 
+    // Too little work to pay for waking the workers (or none to
+    // wake): run the batch depth-first on the submitter.
+    inline_ = threads_.empty() || batch_cost < cost_.worker_wake;
+    if (t)
+        t->observe(0, telemetry::Histogram::BatchCostInstr, batch_cost);
+    for (PTask &seed : seeds_)
+        spawn(std::move(seed), 0, t);
+    if (inline_) {
+        if (t)
+            t->count(0, telemetry::Counter::InlineBatches);
+        while (!stack_.empty()) {
+            PTask task = std::move(stack_.back());
+            stack_.pop_back();
+            runRecorded(task, 0, t);
+        }
+        assert(tombstoneFree() && "an inline batch parked a tombstone");
+    } else {
+        runParallel(t);
+        barrier(t);
+    }
+    if (t)
+        t->endEpoch();
+    if (spans_)
+        spans_->endCycle();
+}
+
+std::uint64_t
+ParallelReteMatcher::seedChange(const ops5::WmeChange &change)
+{
+    MatchStats &st = worker_stats_[0].stats;
+    const ops5::SymbolTable &syms = program_->symbols();
+    bool insert = change.kind == ops5::ChangeKind::Insert;
+    std::uint64_t cost = 0;
+    for (Node *head : network_->classRoots(change.wme->className())) {
+        // A chain walk counts as one activation, as a task does.
+        if (head->kind == NodeKind::ConstTest)
+            ++st.activations;
+        walk_.push_back(head);
+    }
+    while (!walk_.empty()) {
+        Node *node = walk_.back();
+        walk_.pop_back();
+        if (node->kind == NodeKind::AlphaMemory) {
+            auto *am = static_cast<AlphaMemoryNode *>(node);
+            cost += probeCost(*am);
+            PTask task;
+            task.node = am;
+            task.insert = insert;
+            task.wme = change.wme;
+            seeds_.push_back(std::move(task));
+            continue;
+        }
+        auto *ct = static_cast<ConstTestNode *>(node);
+        st.instructions += cost_.const_test;
+        ++st.comparisons;
+        if (!ct->test.eval(*change.wme, syms))
+            continue;
+        for (Node *succ : ct->successors)
+            walk_.push_back(succ);
+    }
+    return cost;
+}
+
+std::uint64_t
+ParallelReteMatcher::probeCost(const AlphaMemoryNode &am) const
+{
+    std::uint64_t cost = 0;
+    for (const Node *succ : am.successors) {
+        if (succ->kind == NodeKind::Join) {
+            const auto *join = static_cast<const JoinNode *>(succ);
+            std::uint64_t candidates = join->left->size();
+            cost += cost_.joinActivation(
+                candidates, candidates * join->tests.size(), 0);
+        } else {
+            const auto *not_node = static_cast<const NotNode *>(succ);
+            std::uint64_t candidates = not_node->entries.size();
+            cost += cost_.notActivation(
+                candidates, candidates * not_node->tests.size());
+        }
+    }
+    return cost;
+}
+
+void
+ParallelReteMatcher::runParallel(telemetry::Registry *t)
+{
     // Wake parked workers.
     {
         MutexLock lock(idle_mutex_);
@@ -311,8 +414,7 @@ ParallelReteMatcher::processChanges(
         idle_cv_.notify_all();
     }
 
-    // The submitter works too; this also makes n_workers == 0 a fully
-    // functional (serial) configuration. When its queues run dry but
+    // The submitter works too. When its queues run dry but
     // stragglers are still executing, it follows the same adaptive
     // idle protocol as the workers instead of spin-yielding: the
     // worker that drains pending_ to zero wakes it.
@@ -331,10 +433,13 @@ ParallelReteMatcher::processChanges(
         midBatchPark(0, t, submitter_seen_work_, backoff.misses());
         backoff.reset();
     }
+}
 
-    // Cycle barrier: drop tombstones left by conjugate races. The
-    // network is quiescent here, so the same walk doubles as the
-    // beta-memory occupancy sample.
+void
+ParallelReteMatcher::barrier(telemetry::Registry *t)
+{
+    // The network is quiescent here, so the tombstone walk doubles as
+    // the beta-memory occupancy sample.
     std::uint64_t absorbed = 0;
     std::uint64_t tombstone_peak = 0;
     for (const auto &node : network_->nodes()) {
@@ -343,7 +448,6 @@ ParallelReteMatcher::processChanges(
             if (t)
                 t->observe(0, telemetry::Histogram::BetaMemorySize,
                            bm->size());
-            // Quiescent reads: no tasks are in flight at the barrier.
             if (bm->tombstone_high_water > tombstone_peak)
                 tombstone_peak = bm->tombstone_high_water;
             if (bm->tombstoneCount() != 0 ||
@@ -363,10 +467,18 @@ ParallelReteMatcher::processChanges(
         if (tombstone_peak)
             t->observe(0, telemetry::Histogram::TombstoneHighWater,
                        tombstone_peak);
-        t->endEpoch();
     }
-    if (spans_)
-        spans_->endCycle();
+}
+
+bool
+ParallelReteMatcher::tombstoneFree() const
+{
+    for (const auto &node : network_->nodes())
+        if (node->kind == NodeKind::BetaMemory &&
+            static_cast<const BetaMemoryNode *>(node.get())
+                    ->tombstone_high_water != 0)
+            return false;
+    return conflict_set_.pendingTombstones() == 0;
 }
 
 void
@@ -377,9 +489,6 @@ ParallelReteMatcher::runTask(const PTask &task, std::size_t worker,
     std::uint64_t before =
         t ? worker_stats_[worker].stats.instructions : 0;
     switch (task.node->kind) {
-      case NodeKind::ConstTest:
-        processConstTest(task, worker, t);
-        break;
       case NodeKind::AlphaMemory:
         processAlphaArrive(task, worker, t);
         break;
@@ -399,39 +508,6 @@ ParallelReteMatcher::runTask(const PTask &task, std::size_t worker,
         t->count(worker, telemetry::Counter::TasksExecuted);
         t->observe(worker, telemetry::Histogram::TaskCostInstr, cost);
         t->nodeActivation(worker, task.node->id, cost);
-    }
-}
-
-void
-ParallelReteMatcher::processConstTest(const PTask &task,
-                                      std::size_t worker,
-                                      telemetry::Registry *t)
-{
-    // Constant tests are stateless and a few instructions each, far
-    // below profitable task granularity; one task walks the whole
-    // chain inline and only the stateful two-input composites behind
-    // the alpha memories are dispatched as fresh tasks.
-    MatchStats &st = worker_stats_[worker].stats;
-    const ops5::SymbolTable &syms = program_->symbols();
-    std::vector<Node *> stack{task.node};
-    while (!stack.empty()) {
-        Node *node = stack.back();
-        stack.pop_back();
-        if (node->kind == NodeKind::AlphaMemory) {
-            PTask next;
-            next.node = node;
-            next.insert = task.insert;
-            next.wme = task.wme;
-            spawn(std::move(next), worker, t);
-            continue;
-        }
-        auto *ct = static_cast<ConstTestNode *>(node);
-        st.instructions += cost_.const_test;
-        ++st.comparisons;
-        if (!ct->test.eval(*task.wme, syms))
-            continue;
-        for (Node *succ : ct->successors)
-            stack.push_back(succ);
     }
 }
 
@@ -596,9 +672,8 @@ ParallelReteMatcher::probeNotRight(const PTask &task, NotNode *not_node,
         }
     }
     st.comparisons += candidates;
-    st.instructions += cost_.not_base +
-        candidates * (cost_.not_per_entry +
-                      not_node->tests.size() * cost_.join_per_test);
+    st.instructions += cost_.notActivation(
+        candidates, candidates * not_node->tests.size());
     if (t)
         t->observe(worker, telemetry::Histogram::JoinCandidates,
                    candidates);
@@ -725,9 +800,8 @@ ParallelReteMatcher::processBetaArrive(const PTask &task,
                     ++count;
         }
         st.comparisons += candidates;
-        st.instructions += cost_.not_base + candidates *
-            (cost_.not_per_entry +
-             not_node->tests.size() * cost_.join_per_test);
+        st.instructions += cost_.notActivation(
+            candidates, candidates * not_node->tests.size());
         if (t)
             t->observe(worker, telemetry::Histogram::JoinCandidates,
                        candidates);

@@ -26,6 +26,25 @@
  *  - out-of-order conjugate insert/remove pairs are absorbed by
  *    anti-token tombstones in beta memories and the conflict set,
  *    cleared at every cycle barrier.
+ *
+ * Task size against scheduling cost (the paper's Section 8, and its
+ * limit (c): a firing changes about two elements, so a cycle has
+ * little work to share). The submitter walks each change's stateless
+ * constant-test chains itself and, on the way, sums the modeled cost
+ * of every probe the batch will start: over the alpha memories it
+ * reaches, the CostModel cost of each successor's opposite-memory
+ * scan. Below CostModel::worker_wake, or with no workers at all, the
+ * batch runs inline: depth-first on a submitter-local LIFO stack,
+ * under the same node locks (uncontended), with no wake-up, queue,
+ * termination counter or barrier walk. One thread running each
+ * alpha arrival's subtree to completion before the next is one of
+ * the interleavings the locks already permit, and in it a removal
+ * never overtakes its insertion: a seed's own tokens are all of one
+ * sign except those a not-node flips, and the flipped token's
+ * descendants are built by successors probed after it (downstream
+ * nodes have larger ids), so they pop first. An inline batch
+ * therefore parks no tombstone, and debug builds assert it. Larger
+ * batches go through the workers as described above.
  */
 
 #ifndef PSM_CORE_PARALLEL_MATCHER_HPP
@@ -57,9 +76,9 @@ struct ParallelOptions
     std::size_t n_workers = 0;
 
     /** Task dispatch backend. Central is kept as the paper's
-     *  single-queue comparison point. With n_workers == 0 the matcher
-     *  uses Central whatever this says: one lane has nothing to steal
-     *  from, and the single queue is cheaper there. */
+     *  single-queue comparison point. With n_workers == 0 every batch
+     *  runs inline on the submitter and no queue is used; name()
+     *  then reports the central matcher whatever this says. */
     SchedulerKind scheduler = SchedulerKind::LockFree;
 
     /**
@@ -115,7 +134,8 @@ class ParallelReteMatcher : public Matcher
     rete::Network &network() { return *network_; }
     const ParallelOptions &options() const { return options_; }
 
-    /** Tombstones absorbed since construction (conjugate races). */
+    /** Tombstones absorbed since construction (conjugate races).
+     *  Inline batches never add to it. */
     std::uint64_t tombstoneEvents() const { return tombstone_events_; }
 
     telemetry::Registry *enableTelemetry() override;
@@ -156,6 +176,28 @@ class ParallelReteMatcher : public Matcher
     void workerLoop(std::size_t worker);
 
     /**
+     * Walks @p change's constant-test chains on the submitter,
+     * charging their tests to lane 0 and appending one alpha-arrive
+     * task per alpha memory reached to seeds_. Returns the modeled
+     * cost of the probes those arrivals will run.
+     */
+    std::uint64_t seedChange(const ops5::WmeChange &change);
+    /** Modeled cost of @p am's successor probes at their current
+     *  opposite-memory sizes, as processAlphaArrive charges them
+     *  (no outputs counted). */
+    std::uint64_t probeCost(const rete::AlphaMemoryNode &am) const;
+    /** Parallel path: wakes the workers and joins in until the batch
+     *  drains. */
+    void runParallel(telemetry::Registry *t);
+    /** Cycle barrier after a parallel batch: drops the tombstones its
+     *  conjugate races left and samples beta-memory occupancy. */
+    void barrier(telemetry::Registry *t);
+    /** True when no beta memory has parked a tombstone since the last
+     *  barrier and the conflict set holds none (the invariant an
+     *  inline batch keeps). */
+    bool tombstoneFree() const;
+
+    /**
      * One adaptive-idle park while a batch is live: announce via
      * idle_waiters_, recheck the queues once, then a timed wait on
      * idle_cv_ until new work is spawned (work_gen_ advances), the
@@ -172,11 +214,14 @@ class ParallelReteMatcher : public Matcher
     // unattached/compiled-out configurations pay no per-event load.
     void runTask(const PTask &task, std::size_t worker,
                  telemetry::Registry *t);
+    /** runTask, recorded in the span recorder when one is attached. */
+    void runRecorded(const PTask &task, std::size_t worker,
+                     telemetry::Registry *t);
+    /** Queues @p task: on the inline stack during an inline batch,
+     *  else in the shared pool, counted on pending_. */
     void spawn(PTask task, std::size_t worker, telemetry::Registry *t);
     bool tryRunOne(std::size_t worker, telemetry::Registry *t);
 
-    void processConstTest(const PTask &task, std::size_t worker,
-                          telemetry::Registry *t);
     void processAlphaArrive(const PTask &task, std::size_t worker,
                             telemetry::Registry *t);
     void probeJoinRight(const PTask &task, rete::JoinNode *join,
@@ -261,9 +306,19 @@ class ParallelReteMatcher : public Matcher
     std::uint64_t submitter_seen_work_ = 0;
     /** Submitter-only scratch of processChanges, reused across calls:
      *  a batch's inserted elements, and those it also removes (both
-     *  sorted). */
+     *  sorted); the constant-test walk's stack; the batch's
+     *  alpha-arrive seeds; and the inline path's LIFO task stack. */
     std::vector<const ops5::Wme *> inserted_;
     std::vector<const ops5::Wme *> cancelled_;
+    std::vector<rete::Node *> walk_;
+    std::vector<PTask> seeds_;
+    std::vector<PTask> stack_;
+    /** Whether the current batch runs inline. Written by the
+     *  submitter before the batch's first task exists; workers read it
+     *  in spawn() only while running a task of a parallel batch, after
+     *  the pool's push/pop edge, and the submitter writes it again
+     *  only after reading pending_ == 0 (acquire). */
+    bool inline_ = false;
 };
 
 } // namespace psm::core

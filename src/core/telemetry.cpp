@@ -41,6 +41,8 @@ counterName(Counter c)
       case Counter::DurableRecoveries: return "recoveries";
       case Counter::AlphaRemoveMisses: return "alpha_remove_misses";
       case Counter::TombstoneParks: return "tombstone_parks";
+      case Counter::InlineBatches: return "inline_batches";
+      case Counter::ParkTimeouts: return "park_timeouts";
       case Counter::kCount: break;
     }
     return "unknown";
@@ -65,6 +67,7 @@ histogramName(Histogram h)
       case Histogram::DurableCheckpointMs: return "checkpoint_ms";
       case Histogram::DurableRecoveryMs: return "recovery_ms";
       case Histogram::TombstoneHighWater: return "tombstone_high_water";
+      case Histogram::BatchCostInstr: return "batch_cost_instr";
       case Histogram::kCount: break;
     }
     return "unknown";

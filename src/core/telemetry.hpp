@@ -82,6 +82,9 @@ enum class Counter : std::uint16_t {
     DurableRecoveries,   ///< durable: successful recoveries
     AlphaRemoveMisses,   ///< alpha removeWme found nothing (WM desync)
     TombstoneParks,      ///< beta removes that parked an anti-token
+    InlineBatches,       ///< batches run inline on the submitter
+    ParkTimeouts,        ///< mid-batch parks ended by the backstop
+                         ///< with tasks still pending (lost wake-ups)
     kCount,
 };
 
@@ -101,6 +104,7 @@ enum class Histogram : std::uint8_t {
     DurableCheckpointMs,   ///< durable: milliseconds per checkpoint
     DurableRecoveryMs,     ///< durable: milliseconds per recovery
     TombstoneHighWater,    ///< peak pending tombstones per beta memory
+    BatchCostInstr,        ///< modeled probe cost per matcher batch
     kCount,
 };
 

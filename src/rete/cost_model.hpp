@@ -53,6 +53,16 @@ struct CostModel
     // Terminal node: build/delete a conflict-set instantiation.
     std::uint32_t terminal = 130;
 
+    // Waking a parallel matcher's workers for one batch: the queue
+    // traffic, termination counting and barrier a batch pays before
+    // its tasks can spread. A batch whose modeled probe cost is below
+    // this runs inline on the submitting thread instead; 0 sends
+    // every batch through the workers. The probes are charged as full
+    // scans while indexed memories only visit a bucket, so the term
+    // is far above one activation's cost; it sits at the crossover of
+    // E9's batch-size sweep (inline against three workers).
+    std::uint32_t worker_wake = 1u << 19;
+
     /** Cost of one two-input activation that examined @p candidates
      *  items, ran @p tests tests on each surviving pair, and built
      *  @p outputs tokens. */
@@ -64,6 +74,16 @@ struct CostModel
                static_cast<std::uint32_t>(candidates * join_per_candidate +
                                           tests * join_per_test +
                                           outputs * token_build);
+    }
+
+    /** Cost of one not-node activation that examined @p candidates
+     *  items and ran @p tests tests on them. */
+    std::uint32_t
+    notActivation(std::uint64_t candidates, std::uint64_t tests) const
+    {
+        return not_base +
+               static_cast<std::uint32_t>(candidates * not_per_entry +
+                                          tests * join_per_test);
     }
 };
 

@@ -404,10 +404,8 @@ ReteMatcher::processNot(const WorkItem &item)
         }
     }
 
-    std::uint32_t cost = cost_.not_base +
-        static_cast<std::uint32_t>(candidates * cost_.not_per_entry +
-                                   candidates * node->tests.size() *
-                                       cost_.join_per_test);
+    std::uint32_t cost =
+        cost_.notActivation(candidates, candidates * node->tests.size());
     std::uint64_t id = recordActivation(item, NodeKind::Not, cost);
     stats_.comparisons += candidates;
     for (WorkItem &next : produced)

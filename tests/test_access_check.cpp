@@ -124,7 +124,9 @@ TEST(AccessCheckTest, RealParallelMatchHasNoViolations)
     core::ParallelOptions opt;
     opt.n_workers = 6;
     opt.access_check = true;
-    core::ParallelReteMatcher par(program, opt);
+    // Floor 0: every batch goes through the workers, however small.
+    core::ParallelReteMatcher par(program, opt,
+                                  rete::CostModel{.worker_wake = 0});
     ASSERT_NE(par.accessChecker(), nullptr);
 
     ops5::WorkingMemory wm;

@@ -35,6 +35,10 @@ using namespace psm;
 
 namespace {
 
+/** Floor 0: every batch goes through the workers, however small, so
+ *  the /3 configs keep real concurrency. */
+const rete::CostModel kFineGrain{.worker_wake = 0};
+
 /** Canonical conflict-set snapshot: sorted (production, tags) keys. */
 std::vector<std::pair<int, std::vector<ops5::TimeTag>>>
 snapshot(const ops5::ConflictSet &cs)
@@ -72,11 +76,11 @@ TEST(ChurnStressTest, AllConfigsAgreeUnder10kChurn)
     core::ParallelOptions central;
     central.n_workers = 3;
     central.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher par3(program, central);
+    core::ParallelReteMatcher par3(program, central, kFineGrain);
 
     core::ParallelOptions lockfree;
     lockfree.n_workers = 3;
-    core::ParallelReteMatcher par3lf(program, lockfree);
+    core::ParallelReteMatcher par3lf(program, lockfree, kFineGrain);
 
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,
@@ -168,11 +172,11 @@ TEST(ChurnStressTest, GrowthRegimeConfigsAgree)
     core::ParallelOptions central;
     central.n_workers = 3;
     central.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher par3(program, central);
+    core::ParallelReteMatcher par3(program, central, kFineGrain);
 
     core::ParallelOptions lockfree;
     lockfree.n_workers = 3;
-    core::ParallelReteMatcher par3lf(program, lockfree);
+    core::ParallelReteMatcher par3lf(program, lockfree, kFineGrain);
 
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,

@@ -26,6 +26,14 @@ TEST(CostModelTest, JoinActivationFormula)
                   6 * cm.join_per_test + 2 * cm.token_build);
 }
 
+TEST(CostModelTest, NotActivationFormula)
+{
+    rete::CostModel cm;
+    EXPECT_EQ(cm.notActivation(0, 0), cm.not_base);
+    EXPECT_EQ(cm.notActivation(4, 8),
+              cm.not_base + 4 * cm.not_per_entry + 8 * cm.join_per_test);
+}
+
 TEST(CostModelTest, DefaultsArePositive)
 {
     rete::CostModel cm;
@@ -77,8 +85,21 @@ TEST(CostModelTest, TwoInputActivationGranularityMatchesPaper)
     }
 
     // Constant tests are far below task granularity — the reason the
-    // parallel matcher inlines whole chains into one task.
+    // parallel matcher's submitter walks the chains while seeding.
     EXPECT_LT(avg(rete::NodeKind::ConstTest), 20.0);
+}
+
+/**
+ * The parallel matcher's wake floor. E9's batch-size sweep (growth
+ * batches of 1-64 changes, all inline against all on three workers)
+ * crosses over between 8 and 16 changes, at a median modeled batch
+ * cost of 0.33M-0.66M; a daa firing models ~3k. Moving the default
+ * moves which batches wake the workers, so it is pinned here.
+ */
+TEST(CostModelTest, WorkerWakeDefaultIsPinned)
+{
+    rete::CostModel cm;
+    EXPECT_EQ(cm.worker_wake, 524288u);
 }
 
 /** A scaled cost model scales measured instructions accordingly. */

@@ -6,7 +6,8 @@
  * incremental state to get wrong). Every other matcher — serial Rete
  * on a fully shared network, serial Rete on a private-state network,
  * TREAT, and the fine-grain parallel Rete with several worker/queue
- * configurations — must produce exactly the same conflict set after
+ * configurations, with small batches inline and with every batch
+ * through the workers — must produce exactly the same conflict set after
  * every batch of WM changes, across randomized programs and change
  * streams.
  */
@@ -83,10 +84,17 @@ TEST_P(EquivalenceTest, AllMatchersAgreeOnConflictSet)
     lockfree.n_workers = 3;
     core::ParallelReteMatcher par3lf(program, lockfree);
 
+    // The /3 configs both ways: above, batches below the wake floor
+    // run inline; here (floor 0) every batch goes through the workers.
+    const rete::CostModel fine_grain{.worker_wake = 0};
+    core::ParallelReteMatcher par3_fine(program, central, fine_grain);
+    core::ParallelReteMatcher par3lf_fine(program, lockfree, fine_grain);
+
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,
         &naive,       &fullstate,   &prod_par0,    &prod_par3,
-        &par0,        &par3,        &par3lf,
+        &par0,        &par3,        &par3lf,       &par3_fine,
+        &par3lf_fine,
     };
 
     ops5::WorkingMemory wm;
@@ -100,10 +108,11 @@ TEST_P(EquivalenceTest, AllMatchersAgreeOnConflictSet)
             m->processChanges(batch);
 
         auto expected = snapshot(naive.conflictSet());
-        for (core::Matcher *m : matchers) {
-            EXPECT_EQ(snapshot(m->conflictSet()), expected)
-                << "matcher " << m->name() << " diverged at batch " << b
-                << " (seed " << param.seed << ")";
+        for (std::size_t i = 0; i < matchers.size(); ++i) {
+            EXPECT_EQ(snapshot(matchers[i]->conflictSet()), expected)
+                << "matcher #" << i << " " << matchers[i]->name()
+                << " diverged at batch " << b << " (seed " << param.seed
+                << ")";
         }
         EXPECT_EQ(shared_rete.pendingTombstones(), 0u);
         EXPECT_EQ(private_rete.pendingTombstones(), 0u);
@@ -137,7 +146,8 @@ TEST(EquivalenceEdge, DrainToEmpty)
     treat::TreatMatcher treat(program);
     core::ParallelOptions opt;
     opt.n_workers = 2;
-    core::ParallelReteMatcher par(program, opt);
+    core::ParallelReteMatcher par(program, opt,
+                                  rete::CostModel{.worker_wake = 0});
 
     ops5::WorkingMemory wm;
     workloads::ChangeStream stream(*program, wm, preset.config, 99);

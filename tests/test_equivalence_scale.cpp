@@ -40,7 +40,9 @@ TEST(EquivalenceScaleTest, DaaPresetAllMatchersAgree)
                              rete::CostModel{}, /*hash_joins=*/true);
     core::ParallelOptions opt;
     opt.n_workers = 3;
-    core::ParallelReteMatcher parallel(program, opt);
+    // Floor 0: the daa batches would otherwise all run inline.
+    core::ParallelReteMatcher parallel(program, opt,
+                                       rete::CostModel{.worker_wake = 0});
     core::ProductionParallelMatcher prod_par(program, 3);
 
     ops5::WorkingMemory wm;

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <numeric>
 #include <random>
 #include <thread>
 
@@ -27,6 +28,9 @@
 using namespace psm;
 
 namespace {
+
+/** Floor 0: every batch goes through the workers, however small. */
+const rete::CostModel kFineGrain{.worker_wake = 0};
 
 TEST(CentralTaskQueueTest, FifoOrder)
 {
@@ -262,18 +266,17 @@ TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
 
     rete::ReteMatcher serial(program);
     std::vector<std::unique_ptr<core::ParallelReteMatcher>> pars;
-    for (std::size_t workers : {0, 3}) {
-        for (core::SchedulerKind kind :
-             {core::SchedulerKind::Central, core::SchedulerKind::LockFree}) {
-            if (workers == 0 && kind == core::SchedulerKind::LockFree)
-                continue; // /0 always runs the central queue
-            core::ParallelOptions opt;
-            opt.n_workers = workers;
-            opt.scheduler = kind;
-            opt.access_check = true;
-            pars.push_back(
-                std::make_unique<core::ParallelReteMatcher>(program, opt));
-        }
+    core::ParallelOptions opt;
+    opt.access_check = true;
+    // /0 runs every batch inline, whatever the scheduler.
+    pars.push_back(std::make_unique<core::ParallelReteMatcher>(program, opt));
+    opt.n_workers = 3;
+    for (core::SchedulerKind kind :
+         {core::SchedulerKind::Central, core::SchedulerKind::LockFree}) {
+        opt.scheduler = kind;
+        for (const rete::CostModel &cost : {rete::CostModel{}, kFineGrain})
+            pars.push_back(std::make_unique<core::ParallelReteMatcher>(
+                program, opt, cost));
     }
 
     // The shape the test is about: one alpha memory, four successors
@@ -326,15 +329,18 @@ TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
         serial.processChanges(batch);
         auto expected = snapshot(serial.conflictSet());
         peak = std::max(peak, expected.size());
-        for (auto &par : pars) {
-            par->processChanges(batch);
-            ASSERT_EQ(snapshot(par->conflictSet()), expected)
-                << par->name() << " /" << par->options().n_workers
-                << " diverged at batch " << batch_no;
-            auto r = rete::validateNetworkState(par->network(),
+        for (std::size_t i = 0; i < pars.size(); ++i) {
+            core::ParallelReteMatcher &par = *pars[i];
+            par.processChanges(batch);
+            ASSERT_EQ(snapshot(par.conflictSet()), expected)
+                << "#" << i << " " << par.name() << " /"
+                << par.options().n_workers << " diverged at batch "
+                << batch_no;
+            auto r = rete::validateNetworkState(par.network(),
                                                 wm.liveElements());
-            ASSERT_TRUE(r.ok()) << par->name() << " batch " << batch_no
-                                << ": " << r.summary();
+            ASSERT_TRUE(r.ok()) << "#" << i << " " << par.name()
+                                << " batch " << batch_no << ": "
+                                << r.summary();
         }
     }
     EXPECT_GT(peak, 20u) << "the churn barely matched anything";
@@ -356,7 +362,7 @@ TEST(ParallelMatcherTest, ManyWorkersHeavyNegationStress)
         opt.n_workers = 7;
         opt.scheduler = trial % 2 == 0 ? core::SchedulerKind::Central
                                        : core::SchedulerKind::LockFree;
-        core::ParallelReteMatcher par(program, opt);
+        core::ParallelReteMatcher par(program, opt, kFineGrain);
 
         ops5::WorkingMemory wm;
         workloads::ChangeStream stream(*program, wm, preset.config,
@@ -379,7 +385,7 @@ TEST(ParallelMatcherTest, ConjugatePairInOneBatchCancels)
 )");
     core::ParallelOptions opt;
     opt.n_workers = 2;
-    core::ParallelReteMatcher par(program, opt);
+    core::ParallelReteMatcher par(program, opt, kFineGrain);
     ops5::WorkingMemory wm;
 
     const ops5::Wme *w =
@@ -408,7 +414,7 @@ TEST(ParallelMatcherTest, StatsAggregateAcrossWorkers)
     auto program = workloads::generateProgram(preset.config);
     core::ParallelOptions opt;
     opt.n_workers = 4;
-    core::ParallelReteMatcher par(program, opt);
+    core::ParallelReteMatcher par(program, opt, kFineGrain);
     ops5::WorkingMemory wm;
     workloads::ChangeStream stream(*program, wm, preset.config, 5);
     for (int b = 0; b < 5; ++b)
@@ -417,6 +423,97 @@ TEST(ParallelMatcherTest, StatsAggregateAcrossWorkers)
     EXPECT_EQ(st.changes_processed, 50u);
     EXPECT_GT(st.activations, 50u);
     EXPECT_GT(st.instructions, 0u);
+}
+
+/** Tasks each lane ran, from a span recorder with one lane per
+ *  thread (lane 0 is the submitter). */
+std::vector<std::size_t>
+spansPerLane(const rete::SpanRecorder &rec)
+{
+    std::vector<std::size_t> out;
+    for (std::size_t lane = 0; lane < rec.workers(); ++lane)
+        out.push_back(rec.spans(lane).size());
+    return out;
+}
+
+TEST(ParallelMatcherTest, SmallBatchRunsInlineWithoutWakingWorkers)
+{
+    // daa firings change about two elements: each batch's modeled
+    // probe cost is far below the wake floor, so the submitter runs
+    // it alone and the workers stay parked.
+    auto preset = workloads::presetByName("daa");
+    auto program = workloads::generateProgram(preset.config);
+    rete::ReteMatcher serial(program);
+    core::ParallelOptions opt;
+    opt.n_workers = 3;
+    core::ParallelReteMatcher par(program, opt);
+    rete::SpanRecorder rec(opt.n_workers + 1);
+    par.setSpanRecorder(&rec);
+    telemetry::Registry *reg = par.enableTelemetry();
+
+    ops5::WorkingMemory wm;
+    workloads::ChangeStream stream(*program, wm, preset.config, 99);
+    const int kBatches = 200;
+    for (int b = 0; b < kBatches; ++b) {
+        auto batch = stream.nextBatch(preset.changes_per_firing, 0.5);
+        serial.processChanges(batch);
+        par.processChanges(batch);
+    }
+    EXPECT_EQ(snapshot(par.conflictSet()), snapshot(serial.conflictSet()));
+
+    std::vector<std::size_t> lanes = spansPerLane(rec);
+    EXPECT_GT(lanes[0], 0u);
+    for (std::size_t w = 1; w < lanes.size(); ++w)
+        EXPECT_EQ(lanes[w], 0u) << "worker " << w << " ran a task";
+#if PSM_TELEMETRY
+    EXPECT_EQ(reg->total(telemetry::Counter::InlineBatches),
+              static_cast<std::uint64_t>(kBatches));
+    // Workers park once at start-up and count a park when woken.
+    EXPECT_EQ(reg->total(telemetry::Counter::WorkerParks), 0u);
+    EXPECT_EQ(reg->total(telemetry::Counter::TasksSpawned),
+              reg->total(telemetry::Counter::TasksExecuted));
+#else
+    (void)reg;
+#endif
+    EXPECT_EQ(par.tombstoneEvents(), 0u);
+}
+
+TEST(ParallelMatcherTest, LargeBatchStillUsesWorkers)
+{
+    // 64-change growth batches model above the wake floor once the
+    // memories hold a few hundred elements; only the first few
+    // batches of a fresh matcher run inline.
+    auto preset = workloads::growthPreset();
+    auto program = workloads::generateProgram(preset.config);
+    rete::ReteMatcher serial(program);
+    core::ParallelOptions opt;
+    opt.n_workers = 3;
+    core::ParallelReteMatcher par(program, opt);
+    rete::SpanRecorder rec(opt.n_workers + 1);
+    par.setSpanRecorder(&rec);
+    telemetry::Registry *reg = par.enableTelemetry();
+
+    ops5::WorkingMemory wm;
+    workloads::ChangeStream stream(*program, wm, preset.config, 7);
+    const int kBatches = 24;
+    for (int b = 0; b < kBatches; ++b) {
+        auto batch = stream.nextBatch(64, 0.04);
+        serial.processChanges(batch);
+        par.processChanges(batch);
+    }
+    EXPECT_EQ(snapshot(par.conflictSet()), snapshot(serial.conflictSet()));
+
+    std::vector<std::size_t> lanes = spansPerLane(rec);
+    EXPECT_GT(std::accumulate(lanes.begin() + 1, lanes.end(),
+                              std::size_t{0}),
+              0u)
+        << "no worker ran a task";
+#if PSM_TELEMETRY
+    EXPECT_LT(reg->total(telemetry::Counter::InlineBatches),
+              static_cast<std::uint64_t>(kBatches) / 2);
+#else
+    (void)reg;
+#endif
 }
 
 TEST(ParallelMatcherTest, NameReflectsScheduler)

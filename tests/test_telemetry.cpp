@@ -371,33 +371,45 @@ TEST(Telemetry, ParallelMatcherAccountsTasksAndEpochs)
     auto program = workloads::generateProgram(preset.config);
     core::ParallelOptions opt;
     opt.n_workers = 2;
-    core::ParallelReteMatcher m(program, opt);
-    telemetry::Registry *reg = m.enableTelemetry();
-    ASSERT_NE(reg, nullptr);
-    ASSERT_EQ(reg->shards(), 3u); // submitter + 2 workers
+    // The same accounting on both paths: small batches inline on the
+    // submitter (default floor), and every batch through the workers
+    // (floor 0).
+    for (std::uint32_t wake : {rete::CostModel{}.worker_wake, 0u}) {
+        SCOPED_TRACE(wake);
+        core::ParallelReteMatcher m(program, opt,
+                                    rete::CostModel{.worker_wake = wake});
+        telemetry::Registry *reg = m.enableTelemetry();
+        ASSERT_NE(reg, nullptr);
+        ASSERT_EQ(reg->shards(), 3u); // submitter + 2 workers
 
-    ops5::WorkingMemory wm;
-    workloads::ChangeStream stream(*program, wm, preset.config, 5);
-    std::uint64_t changes = 0;
-    const int kBatches = 12;
-    for (int b = 0; b < kBatches; ++b) {
-        auto batch = stream.nextBatch(4, 0.5);
-        changes += batch.size();
-        m.processChanges(batch);
+        ops5::WorkingMemory wm;
+        workloads::ChangeStream stream(*program, wm, preset.config, 5);
+        std::uint64_t changes = 0;
+        const int kBatches = 12;
+        for (int b = 0; b < kBatches; ++b) {
+            auto batch = stream.nextBatch(4, 0.5);
+            changes += batch.size();
+            m.processChanges(batch);
+        }
+
+        // Parallel epochs are per batch (documented approximation).
+        EXPECT_EQ(reg->epochs(), static_cast<std::uint64_t>(kBatches));
+        EXPECT_EQ(reg->total(Counter::ChangesProcessed), changes);
+        EXPECT_GT(reg->total(Counter::AffectedProductionChanges), 0u);
+        // Every spawned task drains before the batch returns.
+        EXPECT_EQ(reg->total(Counter::TasksSpawned),
+                  reg->total(Counter::TasksExecuted));
+        // stats().activations additionally counts the per-change root
+        // dispatches and constant-test walks, which are not tasks.
+        EXPECT_LE(reg->total(Counter::TasksExecuted),
+                  m.stats().activations);
+        EXPECT_GT(reg->total(Counter::TasksExecuted), 0u);
+        EXPECT_EQ(reg->total(Counter::InlineBatches),
+                  wake == 0 ? 0u : static_cast<std::uint64_t>(kBatches));
+        // A backstop wake-up is one kind of mid-batch park.
+        EXPECT_LE(reg->total(Counter::ParkTimeouts),
+                  reg->total(Counter::WorkerParks));
     }
-
-    // Parallel epochs are per batch (documented approximation).
-    EXPECT_EQ(reg->epochs(), static_cast<std::uint64_t>(kBatches));
-    EXPECT_EQ(reg->total(Counter::ChangesProcessed), changes);
-    EXPECT_GT(reg->total(Counter::AffectedProductionChanges), 0u);
-    // Every spawned task drains before the batch barrier opens.
-    EXPECT_EQ(reg->total(Counter::TasksSpawned),
-              reg->total(Counter::TasksExecuted));
-    // stats().activations additionally counts the per-change root
-    // dispatches, which are not scheduler tasks.
-    EXPECT_LE(reg->total(Counter::TasksExecuted),
-              m.stats().activations);
-    EXPECT_GT(reg->total(Counter::TasksExecuted), 0u);
 }
 
 TEST(Telemetry, ParallelWorkersParkBetweenBatches)
@@ -411,7 +423,10 @@ TEST(Telemetry, ParallelWorkersParkBetweenBatches)
     auto program = workloads::generateProgram(preset.config);
     core::ParallelOptions opt;
     opt.n_workers = 3;
-    core::ParallelReteMatcher m(program, opt);
+    // Floor 0: these batches are small enough to run inline, which
+    // never wakes a worker.
+    core::ParallelReteMatcher m(program, opt,
+                                rete::CostModel{.worker_wake = 0});
     telemetry::Registry *reg = m.enableTelemetry();
     ASSERT_NE(reg, nullptr);
 

@@ -239,7 +239,8 @@ TEST(TraceExport, ParallelMatcherSpansNestWithinCycles)
     auto program = workloads::generateProgram(preset.config);
     core::ParallelOptions opt;
     opt.n_workers = 2;
-    core::ParallelReteMatcher m(program, opt);
+    core::ParallelReteMatcher m(program, opt,
+                                rete::CostModel{.worker_wake = 0});
     SpanRecorder rec(opt.n_workers + 1);
     m.setSpanRecorder(&rec);
 

@@ -71,21 +71,29 @@ TEST_P(ValidateTest, ParallelMatcherStateStaysConsistent)
     preset.config.negated_fraction = 0.25;
     auto program = workloads::generateProgram(preset.config);
 
+    // Both ways: small batches inline (the validator's tombstone
+    // check is then the no-tombstone claim), and every batch through
+    // the workers (floor 0).
     core::ParallelOptions opt;
     opt.n_workers = 3;
-    core::ParallelReteMatcher par(program, opt);
+    core::ParallelReteMatcher inline_par(program, opt);
+    core::ParallelReteMatcher par(program, opt,
+                                  rete::CostModel{.worker_wake = 0});
 
     ops5::WorkingMemory wm;
     workloads::ChangeStream stream(*program, wm, preset.config,
                                    seed * 17 + 3);
     for (int b = 0; b < 15; ++b) {
         auto batch = stream.nextBatch(10, 0.45);
-        par.processChanges(batch);
-        auto r = rete::validateNetworkState(par.network(),
-                                            liveOf(wm));
-        EXPECT_TRUE(r.ok())
-            << "parallel network, batch " << b << ", seed " << seed
-            << ": " << (r.errors.empty() ? "" : r.errors.front());
+        for (core::ParallelReteMatcher *m : {&inline_par, &par}) {
+            m->processChanges(batch);
+            auto r = rete::validateNetworkState(m->network(),
+                                                liveOf(wm));
+            EXPECT_TRUE(r.ok())
+                << (m == &par ? "fine-grain" : "inline")
+                << " parallel network, batch " << b << ", seed " << seed
+                << ": " << (r.errors.empty() ? "" : r.errors.front());
+        }
     }
 }
 
