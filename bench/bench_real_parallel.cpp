@@ -11,8 +11,9 @@
  * BM_ParallelRete* rows run the default wake floor, so the daa
  * batches run inline on the submitter; the BM_FineGrain* rows set the
  * floor to 0 and keep measuring the fine-grain worker path on the
- * same batches. The BM_GrowthSweep* rows fix the floor (E9). The
- * simulated PSM results live in the fig6_* binaries.
+ * same batches. The BM_GrowthSweep* rows fix the floor (E9), and
+ * BM_DispatchLockFree measures raw task dispatch with no match work.
+ * The simulated PSM results live in the fig6_* binaries.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +23,7 @@
 #include "core/parallel_matcher.hpp"
 #include "gbench_json.hpp"
 #include "core/production_parallel.hpp"
+#include "core/task_queue.hpp"
 #include "core/telemetry.hpp"
 #include "rete/matcher.hpp"
 #include "treat/naive.hpp"
@@ -200,20 +202,13 @@ BM_ProductionParallel(benchmark::State &state)
     });
 }
 
-/**
- * One row per SchedulerKind so the --json output lets CI (and the
- * EXPERIMENTS.md backend comparison) tell the dispatchers apart, and
- * so the TSan bench run exercises both task-pool backends.
- */
 void
-parallelReteBench(benchmark::State &state, core::SchedulerKind kind,
-                  rete::CostModel cost = {})
+parallelReteBench(benchmark::State &state, rete::CostModel cost = {})
 {
     std::size_t workers = static_cast<std::size_t>(state.range(0));
-    runBatches(state, [workers, kind, cost] {
+    runBatches(state, [workers, cost] {
         core::ParallelOptions opt;
         opt.n_workers = workers;
-        opt.scheduler = kind;
         return std::make_unique<core::ParallelReteMatcher>(
             Workload::instance().program, opt, cost);
     });
@@ -225,27 +220,15 @@ const rete::CostModel kFineGrain{.worker_wake = 0};
 const rete::CostModel kAllInline{.worker_wake = UINT32_MAX};
 
 void
-BM_ParallelReteCentral(benchmark::State &state)
-{
-    parallelReteBench(state, core::SchedulerKind::Central);
-}
-
-void
 BM_ParallelReteLockFree(benchmark::State &state)
 {
-    parallelReteBench(state, core::SchedulerKind::LockFree);
-}
-
-void
-BM_FineGrainCentral(benchmark::State &state)
-{
-    parallelReteBench(state, core::SchedulerKind::Central, kFineGrain);
+    parallelReteBench(state);
 }
 
 void
 BM_FineGrainLockFree(benchmark::State &state)
 {
-    parallelReteBench(state, core::SchedulerKind::LockFree, kFineGrain);
+    parallelReteBench(state, kFineGrain);
 }
 
 /**
@@ -289,8 +272,8 @@ growthSweep(benchmark::State &state, const rete::CostModel &cost)
         probe->processChanges(batch);
     state.counters["batch_cost_p50"] =
         reg->merged(telemetry::Histogram::BatchCostInstr).percentile(50);
-    // Parks (between and within batches), and the mid-batch ones a
-    // lost wake-up ended on the backstop.
+    // Parks (between and within batches), and the mid-batch ones that
+    // ended on the backstop with tasks still pending.
     state.counters["worker_parks"] = static_cast<double>(
         reg->total(telemetry::Counter::WorkerParks));
     state.counters["park_timeouts"] = static_cast<double>(
@@ -309,6 +292,34 @@ BM_GrowthSweepFineGrain(benchmark::State &state)
     growthSweep(state, kFineGrain);
 }
 
+/**
+ * Dispatch overhead at N concurrent workers: every benchmark thread
+ * owns one lane, pushes a burst of 64 tasks and then drains whatever
+ * it can reach (own lane + steals) until the pool looks empty. This
+ * is the software analogue of hammering the PSM scheduler ports: the
+ * measured time is pure dispatch, no match work.
+ *
+ * The pool is a function-local static sized for the largest thread
+ * count, so all ->Threads(N) variants share one instance and the
+ * magic static gives the cross-thread construction barrier gbench
+ * lacks.
+ */
+void
+BM_DispatchLockFree(benchmark::State &state)
+{
+    static core::LockFreeTaskPool<int> pool(8);
+    const auto me = static_cast<std::size_t>(state.thread_index());
+    for (auto _ : state) {
+        for (int i = 0; i < 64; ++i)
+            pool.push(i, me);
+        while (pool.tryPop(me).has_value()) {
+        }
+    }
+    state.counters["tasks_per_sec"] = benchmark::Counter(
+        64.0 * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+
 } // namespace
 
 BENCHMARK(BM_SerialReteShared)->Unit(benchmark::kMillisecond);
@@ -320,16 +331,8 @@ BENCHMARK(BM_ProductionParallel)
     ->Arg(0)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ParallelReteCentral)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelReteLockFree)
-    ->Arg(1)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FineGrainCentral)
+    ->Arg(0)
     ->Arg(1)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
@@ -347,6 +350,7 @@ BENCHMARK(BM_GrowthSweepFineGrain)
     ->Range(1, 64)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DispatchLockFree)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
 int
 main(int argc, char **argv)

@@ -7,8 +7,6 @@
  * Options:
  *     --matcher rete|treat|naive|fullstate|parallel   (default rete)
  *     --workers N          worker threads for --matcher parallel
- *     --scheduler K        task scheduler for --matcher parallel:
- *                          lockfree (default) | central
  *     --max-cycles N       firing limit (default 10000)
  *     --trace FILE         save the activation trace (rete only;
  *                          other matchers are an error)
@@ -89,8 +87,7 @@ usage(const char *argv0)
     std::cerr << "usage: " << argv0
               << " <program.ops> [--matcher rete|treat|naive|fullstate|"
                  "parallel] [--workers N]\n"
-                 "       [--scheduler lockfree|central] "
-                 "[--max-cycles N] [--trace FILE]\n"
+                 "       [--max-cycles N] [--trace FILE]\n"
                  "       [--metrics FILE] [--chrome-trace FILE] "
                  "[--stats] [--validate] [--quiet]\n"
                  "       [--snapshot-dir DIR] [--wal none|batch|always] "
@@ -115,8 +112,6 @@ main(int argc, char **argv)
     std::string trace_path, metrics_path, chrome_trace_path;
     std::uint64_t max_cycles = 10000;
     std::size_t workers = 0;
-    psm::core::SchedulerKind scheduler =
-        psm::core::SchedulerKind::LockFree;
     bool stats = false, quiet = false, validate = false, lint = false;
     bool stats_port_set = false;
     std::uint64_t stats_port = 0;
@@ -139,17 +134,6 @@ main(int argc, char **argv)
         } else if (args.is("--workers")) {
             if (!args.valueSize(workers))
                 return usage(argv[0]);
-        } else if (args.is("--scheduler")) {
-            const char *v = args.value();
-            if (v && std::strcmp(v, "lockfree") == 0) {
-                scheduler = psm::core::SchedulerKind::LockFree;
-            } else if (v && std::strcmp(v, "central") == 0) {
-                scheduler = psm::core::SchedulerKind::Central;
-            } else {
-                std::cerr << "error: --scheduler needs lockfree or "
-                             "central\n";
-                return 2;
-            }
         } else if (args.is("--max-cycles")) {
             if (!args.valueUint(max_cycles))
                 return usage(argv[0]);
@@ -259,7 +243,6 @@ main(int argc, char **argv)
         } else if (matcher_name == "parallel") {
             psm::core::ParallelOptions opt;
             opt.n_workers = workers;
-            opt.scheduler = scheduler;
             // Redundant ownership checking is cheap next to a CLI run.
             opt.access_check = true;
             auto m = std::make_unique<psm::core::ParallelReteMatcher>(

@@ -42,10 +42,9 @@ ParallelReteMatcher::ParallelReteMatcher(
       worker_stats_(options.n_workers + 1)
 {
     // With no workers every batch runs inline and no queue is used,
-    // so the lock-free pool only exists once workers do.
-    if (options_.scheduler == SchedulerKind::LockFree &&
-        options_.n_workers > 0)
-        lockfree_ = std::make_unique<LockFreeTaskPool<PTask>>(
+    // so the pool only exists once workers do.
+    if (options_.n_workers > 0)
+        pool_ = std::make_unique<LockFreeTaskPool<PTask>>(
             options_.n_workers + 1);
     if (options_.access_check)
         checker_ =
@@ -70,7 +69,7 @@ ParallelReteMatcher::~ParallelReteMatcher()
 std::string
 ParallelReteMatcher::name() const
 {
-    return lockfree_ ? "rete-parallel-lockfree" : "rete-parallel-central";
+    return "rete-parallel";
 }
 
 MatchStats
@@ -89,9 +88,8 @@ ParallelReteMatcher::enableTelemetry()
         tel_owned_ = std::make_unique<telemetry::Registry>(
             options_.n_workers + 1);
         rete::configureTelemetryNodes(*tel_owned_, *network_);
-        central_.attachTelemetry(tel_owned_.get());
-        if (lockfree_)
-            lockfree_->attachTelemetry(tel_owned_.get());
+        if (pool_)
+            pool_->attachTelemetry(tel_owned_.get());
         tel_.store(tel_owned_.get(), std::memory_order_release);
     }
     return tel_owned_.get();
@@ -108,13 +106,11 @@ ParallelReteMatcher::spawn(PTask task, std::size_t worker,
         return;
     }
     pending_.fetch_add(1, std::memory_order_relaxed);
-    if (lockfree_)
-        lockfree_->push(std::move(task), worker);
-    else
-        central_.push(std::move(task), worker);
-    // Wake a mid-batch parked worker. The relaxed check keeps the
-    // spawn hot path fence-free; a wakeup lost to the resulting race
-    // is bounded by the parker's wait_for backstop.
+    pool_->push(std::move(task), worker);
+    // Wake a mid-batch parked worker. The fence pairs with the one in
+    // midBatchPark: either this load sees the parker's idle_waiters_
+    // increment, or the parker's recheck finds the pushed task.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (idle_waiters_.load(std::memory_order_relaxed) > 0) {
         MutexLock lock(idle_mutex_);
         ++work_gen_;
@@ -126,17 +122,19 @@ bool
 ParallelReteMatcher::tryRunOne(std::size_t worker,
                                telemetry::Registry *t)
 {
-    std::optional<PTask> task =
-        lockfree_ ? lockfree_->tryPop(worker) : central_.tryPop(worker);
+    std::optional<PTask> task = pool_->tryPop(worker);
     if (!task)
         return false;
     runRecorded(*task, worker, t);
     // Release order so the submitter's pending_ == 0 read observes
     // every side effect of the batch.
-    if (pending_.fetch_sub(1, std::memory_order_release) == 1 &&
-        idle_waiters_.load(std::memory_order_relaxed) > 0) {
-        // Batch drained with someone parked mid-batch (usually the
-        // submitter waiting on the completion barrier): wake them.
+    if (pending_.fetch_sub(1, std::memory_order_release) != 1)
+        return true;
+    // Batch drained. Wake whoever parked mid-batch (usually the
+    // submitter waiting on the completion barrier); the fence pairs
+    // with midBatchPark's, as in spawn().
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (idle_waiters_.load(std::memory_order_relaxed) > 0) {
         MutexLock lock(idle_mutex_);
         ++work_gen_;
         idle_cv_.notify_all();
@@ -169,18 +167,20 @@ ParallelReteMatcher::midBatchPark(std::size_t worker,
                                   std::uint64_t &seen_work,
                                   std::uint32_t misses)
 {
-    idle_waiters_.fetch_add(1, std::memory_order_seq_cst);
-    // Recheck after announcing ourselves: a task spawned before the
-    // increment produced no wakeup, so it must be found here (or by
-    // the wait_for backstop below).
+    idle_waiters_.fetch_add(1, std::memory_order_relaxed);
+    // Recheck after announcing ourselves: a task spawned, or a batch
+    // drained, before the increment produced no wakeup, so the fence
+    // (paired with spawn's and tryRunOne's) makes it visible here.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (tryRunOne(worker, t)) {
         idle_waiters_.fetch_sub(1, std::memory_order_relaxed);
         return true;
     }
     std::uint64_t park_start = t ? rete::spanClockNanos() : 0;
-    // A wait that ends on the backstop with work still pending is a
-    // wake-up the relaxed idle_waiters_ check in spawn() lost.
-    bool lost_wakeup = false;
+    // A wait that ends on the 200 µs backstop with work still pending:
+    // a straggler ran that long without spawning, or a wake-up was
+    // lost.
+    bool backstopped = false;
     idle_mutex_.lock();
     if (!stop_.load(std::memory_order_relaxed) &&
         work_gen_ == seen_work &&
@@ -188,14 +188,14 @@ ParallelReteMatcher::midBatchPark(std::size_t worker,
         bool timed_out =
             idle_cv_.wait_for(idle_mutex_, std::chrono::microseconds(200)) ==
             std::cv_status::timeout;
-        lost_wakeup =
+        backstopped =
             timed_out && pending_.load(std::memory_order_acquire) > 0;
     }
     seen_work = work_gen_;
     idle_mutex_.unlock();
     idle_waiters_.fetch_sub(1, std::memory_order_relaxed);
     if (t) {
-        if (lost_wakeup)
+        if (backstopped)
             t->count(worker, telemetry::Counter::ParkTimeouts);
         t->count(worker, telemetry::Counter::WorkerParks);
         t->observe(worker, telemetry::Histogram::SpinsBeforePark,

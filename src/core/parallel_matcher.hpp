@@ -75,10 +75,11 @@ struct ParallelOptions
      *  submitter, useful for deterministic debugging. */
     std::size_t n_workers = 0;
 
-    /** Task dispatch backend. Central is kept as the paper's
-     *  single-queue comparison point. With n_workers == 0 every batch
-     *  runs inline on the submitter and no queue is used; name()
-     *  then reports the central matcher whatever this says. */
+    /** Has one possible value and nothing reads it: the matcher always
+     *  uses LockFreeTaskPool (with n_workers == 0, no queue at all).
+     *  Kept only because perfbench/src/matcher_workloads.cpp still sets
+     *  it; the next change to the benchmark deletes it and
+     *  SchedulerKind. */
     SchedulerKind scheduler = SchedulerKind::LockFree;
 
     /**
@@ -255,8 +256,8 @@ class ParallelReteMatcher : public Matcher
     std::shared_ptr<rete::Network> network_;
     ops5::ConflictSet conflict_set_;
 
-    CentralTaskQueue<PTask> central_;
-    std::unique_ptr<LockFreeTaskPool<PTask>> lockfree_;
+    /** The task pool; null with no workers (every batch inline). */
+    std::unique_ptr<LockFreeTaskPool<PTask>> pool_;
     std::unique_ptr<DebugAccessChecker> checker_;
 
     // Telemetry: the owned registry is published through an atomic
@@ -283,7 +284,8 @@ class ParallelReteMatcher : public Matcher
 
     // Batch counter, written by the submitter before any task of the
     // batch is pushed and read by workers only after popping one of
-    // those tasks — the queue mutex supplies the happens-before edge.
+    // those tasks — the pool's push/pop supplies the happens-before
+    // edge.
     std::uint32_t cycle_ = 0;
 
     std::atomic<bool> stop_{false};

@@ -5,24 +5,21 @@
  * The paper argues that serial enqueue/dequeue of hundreds of
  * 50-100-instruction tasks becomes the bottleneck unless a hardware
  * task scheduler (one bus cycle per dispatch) is used, and mentions
- * software task queues as the alternative under investigation. We
- * provide two points on that axis for real-thread execution:
- *
- *  - CentralTaskQueue: one mutex-protected deque (the "multiple
- *    software task schedulers" degenerate case of a single queue) —
- *    the paper's serial-dispatch comparison point;
- *  - LockFreeTaskPool: per-worker Chase–Lev deques (see
- *    lockfree_deque.hpp) with randomized stealing — the closest
- *    software approximation of the paper's non-serialising hardware
- *    dispatcher: an uncontended dispatch is a few plain memory
- *    operations plus one fence, no lock. The default.
+ * software task queues as the alternative under investigation. The
+ * serial-queue side of that comparison lives in the simulator
+ * (sim::SchedulerModel); real threads use one scheduler,
+ * LockFreeTaskPool: per-worker Chase–Lev deques (see
+ * lockfree_deque.hpp) with randomized stealing — the closest software
+ * approximation of the paper's non-serialising hardware dispatcher:
+ * an uncontended dispatch is a few plain memory operations plus one
+ * fence, no lock.
  *
  * The lock-free pool picks victims in xorshift-randomized order so
  * concurrent thieves spread over victims instead of herding onto the
  * same lane (a deterministic ring scan makes every idle worker probe
  * worker+1 first, serialising them on one victim's top CAS).
  *
- * All queues are templates over the task type so the hot path stays
+ * The pool is a template over the task type so the hot path stays
  * free of virtual dispatch and std::function allocation.
  */
 
@@ -30,24 +27,21 @@
 #define PSM_CORE_TASK_QUEUE_HPP
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <optional>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
-#include "core/annotations.hpp"
 #include "core/backoff.hpp"
 #include "core/lockfree_deque.hpp"
 #include "core/telemetry.hpp"
 
 namespace psm::core {
 
-/** Which scheduler structure a parallel matcher uses. */
+/** Which scheduler structure a parallel matcher uses: LockFree is the
+ *  only one (see ParallelOptions::scheduler). */
 enum class SchedulerKind : std::uint8_t {
-    Central,  ///< single locked queue
     LockFree, ///< per-worker Chase–Lev deques with work stealing
 };
 
@@ -81,62 +75,8 @@ stealRand()
 } // namespace detail
 
 /**
- * Single global locked FIFO.
- *
- * push/tryPop are safe from any thread. Pops are non-blocking;
- * workers spin-yield on emptiness (batches are short-lived and the
- * submitter needs a fast completion barrier).
- */
-template <typename Task>
-class CentralTaskQueue
-{
-  public:
-    /** Attaches a telemetry registry (nullptr detaches). Shard index
-     *  == the worker argument of push/tryPop. Call only while no
-     *  other thread is using the queue. */
-    void attachTelemetry(telemetry::Registry *reg) { tel_ = reg; }
-
-    void
-    push(Task task, std::size_t worker_hint = 0) PSM_EXCLUDES(mutex_)
-    {
-        std::size_t depth;
-        {
-            MutexLock lock(mutex_);
-            queue_.push_back(std::move(task));
-            depth = queue_.size();
-        }
-        if (tel_) {
-            tel_->count(worker_hint, telemetry::Counter::QueuePushes);
-            tel_->observe(worker_hint, telemetry::Histogram::QueueDepth,
-                          depth);
-        }
-    }
-
-    std::optional<Task>
-    tryPop(std::size_t worker = 0) PSM_EXCLUDES(mutex_)
-    {
-        std::optional<Task> t;
-        {
-            MutexLock lock(mutex_);
-            if (!queue_.empty()) {
-                t = std::move(queue_.front());
-                queue_.pop_front();
-            }
-        }
-        if (t && tel_)
-            tel_->count(worker, telemetry::Counter::QueuePops);
-        return t;
-    }
-
-  private:
-    Mutex mutex_;
-    std::deque<Task> queue_ PSM_GUARDED_BY(mutex_);
-    telemetry::Registry *tel_ = nullptr;
-};
-
-/**
- * Per-worker Chase–Lev deques with randomized stealing: the lock-free
- * backend behind SchedulerKind::LockFree.
+ * Per-worker Chase–Lev deques with randomized stealing: the parallel
+ * matcher's task scheduler.
  *
  * Ownership contract: lane w may be push()ed and take()n ONLY by the
  * thread that owns worker index w — the Chase–Lev owner side is
@@ -145,7 +85,7 @@ class CentralTaskQueue
  * own index.
  *
  * Tasks whose type is small and trivially copyable (e.g. int in the
- * scheduler microbenches) are stored inline in the atomic slots; all
+ * dispatch bench) are stored inline in the atomic slots; all
  * other task types are heap-boxed and the pointer is what travels
  * through the deque. The destructor drains and frees leftovers.
  */

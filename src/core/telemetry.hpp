@@ -84,7 +84,7 @@ enum class Counter : std::uint16_t {
     TombstoneParks,      ///< beta removes that parked an anti-token
     InlineBatches,       ///< batches run inline on the submitter
     ParkTimeouts,        ///< mid-batch parks ended by the backstop
-                         ///< with tasks still pending (lost wake-ups)
+                         ///< with tasks still pending
     kCount,
 };
 

@@ -29,8 +29,8 @@
 
 namespace psm::serve {
 
-/** Which matcher a session runs: a serial kind, or the parallel
- *  matcher with the ParallelOptions default scheduler. */
+/** Which matcher a session runs: a serial kind, or the fine-grain
+ *  parallel matcher. */
 struct MatcherSpec
 {
     enum class Kind : std::uint8_t {

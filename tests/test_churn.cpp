@@ -73,25 +73,24 @@ TEST(ChurnStressTest, AllConfigsAgreeUnder10kChurn)
     serial_par.n_workers = 0;
     core::ParallelReteMatcher par0(program, serial_par);
 
-    core::ParallelOptions central;
-    central.n_workers = 3;
-    central.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher par3(program, central, kFineGrain);
+    core::ParallelOptions two;
+    two.n_workers = 2;
+    core::ParallelReteMatcher par2(program, two, kFineGrain);
 
-    core::ParallelOptions lockfree;
-    lockfree.n_workers = 3;
-    core::ParallelReteMatcher par3lf(program, lockfree, kFineGrain);
+    core::ParallelOptions three;
+    three.n_workers = 3;
+    core::ParallelReteMatcher par3(program, three, kFineGrain);
 
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,
         &naive,       &fullstate,   &prod_par0,    &prod_par3,
-        &par0,        &par3,        &par3lf,
+        &par0,        &par2,        &par3,
     };
     // Every matcher that carries a Rete network with live indexes.
     std::vector<rete::Network *> networks = {
         &shared_rete.network(), &hashed_rete.network(),
         &private_rete.network(), &par0.network(),
-        &par3.network(),         &par3lf.network(),
+        &par2.network(),         &par3.network(),
     };
 
     ops5::WorkingMemory wm;
@@ -132,8 +131,8 @@ TEST(ChurnStressTest, AllConfigsAgreeUnder10kChurn)
             ASSERT_TRUE(r.ok())
                 << "serial state invalid at batch " << b << ": "
                 << r.summary();
-            r = rete::validateMatcherState(par3.network(), live,
-                                           par3.conflictSet());
+            r = rete::validateMatcherState(par2.network(), live,
+                                           par2.conflictSet());
             ASSERT_TRUE(r.ok())
                 << "parallel state invalid at batch " << b << ": "
                 << r.summary();
@@ -169,24 +168,23 @@ TEST(ChurnStressTest, GrowthRegimeConfigsAgree)
     serial_par.n_workers = 0;
     core::ParallelReteMatcher par0(program, serial_par);
 
-    core::ParallelOptions central;
-    central.n_workers = 3;
-    central.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher par3(program, central, kFineGrain);
+    core::ParallelOptions two;
+    two.n_workers = 2;
+    core::ParallelReteMatcher par2(program, two, kFineGrain);
 
-    core::ParallelOptions lockfree;
-    lockfree.n_workers = 3;
-    core::ParallelReteMatcher par3lf(program, lockfree, kFineGrain);
+    core::ParallelOptions three;
+    three.n_workers = 3;
+    core::ParallelReteMatcher par3(program, three, kFineGrain);
 
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,
         &naive,       &fullstate,   &prod_par0,    &prod_par3,
-        &par0,        &par3,        &par3lf,
+        &par0,        &par2,        &par3,
     };
     std::vector<rete::Network *> networks = {
         &shared_rete.network(), &hashed_rete.network(),
         &private_rete.network(), &par0.network(),
-        &par3.network(),         &par3lf.network(),
+        &par2.network(),         &par3.network(),
     };
 
     ops5::WorkingMemory wm;

@@ -403,18 +403,17 @@ TEST(DurableEquivalence, RecoverThenDivergeAcrossAllMatchers)
     core::ParallelOptions serial_par;
     serial_par.n_workers = 0;
     core::ParallelReteMatcher par0(program, serial_par);
-    core::ParallelOptions central;
-    central.n_workers = 3;
-    central.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher par3(program, central);
-    core::ParallelOptions lockfree;
-    lockfree.n_workers = 3;
-    core::ParallelReteMatcher par3lf(program, lockfree);
+    core::ParallelOptions two;
+    two.n_workers = 2;
+    core::ParallelReteMatcher par2(program, two);
+    core::ParallelOptions three;
+    three.n_workers = 3;
+    core::ParallelReteMatcher par3(program, three);
 
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,
         &naive,       &fullstate,   &prod_par0,    &prod_par3,
-        &par0,        &par3,        &par3lf,
+        &par0,        &par2,        &par3,
     };
 
     std::vector<std::unique_ptr<core::Engine>> engines;

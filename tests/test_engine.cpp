@@ -304,14 +304,14 @@ INSTANTIATE_TEST_SUITE_P(Matchers, EngineMatcherParity,
 
 /**
  * External assert/retract interleaved between run() calls — the
- * serving layer's access pattern — must behave identically on every
- * parallel scheduler backend.
+ * serving layer's access pattern — must behave identically with every
+ * batch inline (no workers) and every batch on the workers (floor 0).
  */
-class ExternalChangesAcrossSchedulers
-    : public ::testing::TestWithParam<core::SchedulerKind>
+class ExternalChangesAcrossWorkerCounts
+    : public ::testing::TestWithParam<std::size_t>
 {};
 
-TEST_P(ExternalChangesAcrossSchedulers, InterleavedAssertRetractRun)
+TEST_P(ExternalChangesAcrossWorkerCounts, InterleavedAssertRetractRun)
 {
     auto prog = parse(R"(
 (literalize job id)
@@ -319,9 +319,9 @@ TEST_P(ExternalChangesAcrossSchedulers, InterleavedAssertRetractRun)
 (p work (job ^id <i>) --> (make done ^id <i>) (remove 1))
 )");
     core::ParallelOptions opt;
-    opt.n_workers = 2;
-    opt.scheduler = GetParam();
-    core::ParallelReteMatcher matcher(prog, opt);
+    opt.n_workers = GetParam();
+    core::ParallelReteMatcher matcher(prog, opt,
+                                      rete::CostModel{.worker_wake = 0});
     core::Engine engine(prog, matcher);
     engine.loadInitialWorkingMemory();
 
@@ -356,12 +356,10 @@ TEST_P(ExternalChangesAcrossSchedulers, InterleavedAssertRetractRun)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Schedulers, ExternalChangesAcrossSchedulers,
-    ::testing::Values(core::SchedulerKind::Central,
-                      core::SchedulerKind::LockFree),
+    WorkerCounts, ExternalChangesAcrossWorkerCounts,
+    ::testing::Values(std::size_t{0}, std::size_t{3}),
     [](const auto &info) {
-        return info.param == core::SchedulerKind::Central ? "Central"
-                                                          : "LockFree";
+        return "Workers" + std::to_string(info.param);
     });
 
 TEST(EngineTest, ExternalBatchMatchesOnceAtCommit)

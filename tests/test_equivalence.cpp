@@ -75,26 +75,27 @@ TEST_P(EquivalenceTest, AllMatchersAgreeOnConflictSet)
     serial_par.n_workers = 0;
     core::ParallelReteMatcher par0(program, serial_par);
 
-    core::ParallelOptions central;
-    central.n_workers = 3;
-    central.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher par3(program, central);
+    core::ParallelOptions one;
+    one.n_workers = 1;
+    core::ParallelReteMatcher par1(program, one);
 
-    core::ParallelOptions lockfree;
-    lockfree.n_workers = 3;
-    core::ParallelReteMatcher par3lf(program, lockfree);
+    core::ParallelOptions three;
+    three.n_workers = 3;
+    core::ParallelReteMatcher par3(program, three);
 
-    // The /3 configs both ways: above, batches below the wake floor
+    // Worker configs both ways: above, batches below the wake floor
     // run inline; here (floor 0) every batch goes through the workers.
     const rete::CostModel fine_grain{.worker_wake = 0};
-    core::ParallelReteMatcher par3_fine(program, central, fine_grain);
-    core::ParallelReteMatcher par3lf_fine(program, lockfree, fine_grain);
+    core::ParallelOptions two;
+    two.n_workers = 2;
+    core::ParallelReteMatcher par2_fine(program, two, fine_grain);
+    core::ParallelReteMatcher par3_fine(program, three, fine_grain);
 
     std::vector<core::Matcher *> matchers = {
         &shared_rete, &hashed_rete, &private_rete, &treat,
         &naive,       &fullstate,   &prod_par0,    &prod_par3,
-        &par0,        &par3,        &par3lf,       &par3_fine,
-        &par3lf_fine,
+        &par0,        &par1,        &par3,        &par2_fine,
+        &par3_fine,
     };
 
     ops5::WorkingMemory wm;

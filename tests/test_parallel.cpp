@@ -32,18 +32,6 @@ namespace {
 /** Floor 0: every batch goes through the workers, however small. */
 const rete::CostModel kFineGrain{.worker_wake = 0};
 
-TEST(CentralTaskQueueTest, FifoOrder)
-{
-    core::CentralTaskQueue<int> q;
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.tryPop(), 1);
-    EXPECT_EQ(q.tryPop(), 2);
-    EXPECT_EQ(q.tryPop(), 3);
-    EXPECT_FALSE(q.tryPop().has_value());
-}
-
 TEST(LockFreeTaskPoolTest, ConcurrentPushPopLosesNothing)
 {
     // Each thread pushes only to its own lane (the Chase–Lev owner
@@ -268,12 +256,10 @@ TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
     std::vector<std::unique_ptr<core::ParallelReteMatcher>> pars;
     core::ParallelOptions opt;
     opt.access_check = true;
-    // /0 runs every batch inline, whatever the scheduler.
+    // /0 runs every batch inline.
     pars.push_back(std::make_unique<core::ParallelReteMatcher>(program, opt));
-    opt.n_workers = 3;
-    for (core::SchedulerKind kind :
-         {core::SchedulerKind::Central, core::SchedulerKind::LockFree}) {
-        opt.scheduler = kind;
+    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+        opt.n_workers = workers;
         for (const rete::CostModel &cost : {rete::CostModel{}, kFineGrain})
             pars.push_back(std::make_unique<core::ParallelReteMatcher>(
                 program, opt, cost));
@@ -359,9 +345,7 @@ TEST(ParallelMatcherTest, ManyWorkersHeavyNegationStress)
         core::ParallelOptions ref_opt; // deterministic single-thread
         core::ParallelReteMatcher ref(program, ref_opt);
         core::ParallelOptions opt;
-        opt.n_workers = 7;
-        opt.scheduler = trial % 2 == 0 ? core::SchedulerKind::Central
-                                       : core::SchedulerKind::LockFree;
+        opt.n_workers = trial % 2 == 0 ? 7 : 2;
         core::ParallelReteMatcher par(program, opt, kFineGrain);
 
         ops5::WorkingMemory wm;
@@ -516,21 +500,15 @@ TEST(ParallelMatcherTest, LargeBatchStillUsesWorkers)
 #endif
 }
 
-TEST(ParallelMatcherTest, NameReflectsScheduler)
+TEST(ParallelMatcherTest, NameIsReteParallel)
 {
     auto program = ops5::parse("(p p1 (a ^x 1) --> (halt))");
     core::ParallelOptions opt;
-    EXPECT_EQ(opt.scheduler, core::SchedulerKind::LockFree)
-        << "the lock-free pool is the default backend";
     core::ParallelReteMatcher zero(program, opt);
-    EXPECT_EQ(zero.name(), "rete-parallel-central")
-        << "with no workers the single queue runs";
+    EXPECT_EQ(zero.name(), "rete-parallel");
     opt.n_workers = 1;
-    core::ParallelReteMatcher a(program, opt);
-    EXPECT_EQ(a.name(), "rete-parallel-lockfree");
-    opt.scheduler = core::SchedulerKind::Central;
-    core::ParallelReteMatcher b(program, opt);
-    EXPECT_EQ(b.name(), "rete-parallel-central");
+    core::ParallelReteMatcher one(program, opt);
+    EXPECT_EQ(one.name(), "rete-parallel");
 }
 
 } // namespace

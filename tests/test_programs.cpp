@@ -44,6 +44,14 @@ struct ProgramCase
     bool expect_halt = true; ///< false: the program quiesces instead
 };
 
+/** Names a case by file and matcher, so its ctest name carries no
+ *  pointer or padding bytes. */
+void
+PrintTo(const ProgramCase &c, std::ostream *os)
+{
+    *os << c.file << "/" << c.matcher;
+}
+
 class ShippedProgramTest : public ::testing::TestWithParam<ProgramCase>
 {};
 

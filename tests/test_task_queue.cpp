@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the task-queue structures behind the parallel matchers:
- * single-thread ordering semantics (FIFO for the central queue, LIFO
- * own-lane / FIFO steal for the lock-free pool), steal coverage under
- * the randomized victim order, the Chase–Lev deque's growth and race
- * reporting, and multi-threaded stress with full accounting — every
- * pushed task is popped exactly once, no loss, no duplication, for
- * both SchedulerKind backends (run under TSan in CI).
+ * Tests for the task pool behind the parallel matcher: single-thread
+ * ordering semantics (LIFO own-lane / FIFO steal), steal coverage
+ * under the randomized victim order, the Chase–Lev deque's growth and
+ * race reporting, and multi-threaded stress with full accounting —
+ * every pushed task is popped exactly once, no loss, no duplication
+ * (run under TSan in CI).
  */
 
 #include <algorithm>
@@ -23,32 +22,9 @@
 
 namespace {
 
-using psm::core::CentralTaskQueue;
 using psm::core::ChaseLevDeque;
 using psm::core::LockFreeTaskPool;
 using psm::core::PopResult;
-
-TEST(CentralTaskQueueTest, FifoOrderSingleThread)
-{
-    CentralTaskQueue<int> q;
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.tryPop(), 1);
-    EXPECT_EQ(q.tryPop(), 2);
-    EXPECT_EQ(q.tryPop(), 3);
-    EXPECT_EQ(q.tryPop(), std::nullopt);
-}
-
-TEST(CentralTaskQueueTest, EmptyPopsStayEmpty)
-{
-    CentralTaskQueue<int> q;
-    EXPECT_EQ(q.tryPop(), std::nullopt);
-    q.push(7);
-    EXPECT_EQ(q.tryPop(), 7);
-    EXPECT_EQ(q.tryPop(), std::nullopt);
-    EXPECT_EQ(q.tryPop(), std::nullopt);
-}
 
 /**
  * The victim order is xorshift-randomized (thieves must not herd onto
@@ -181,66 +157,16 @@ TEST(ChaseLevDequeTest, InterleavedGrowthAndSteals)
 }
 
 /**
- * Concurrent stress: producers and consumers hammer one queue; every
- * task value must come out exactly once. Runs under TSan in the
- * sanitizer CI job, which also proves the locking is race-free.
- */
-template <typename Queue>
-void
-stressExactlyOnce(Queue &queue, std::size_t n_producers,
-                  std::size_t n_consumers, std::size_t per_producer)
-{
-    const std::size_t total = n_producers * per_producer;
-    std::atomic<std::size_t> popped{0};
-    std::vector<std::atomic<std::uint32_t>> seen(total);
-
-    std::vector<std::thread> threads;
-    threads.reserve(n_producers + n_consumers);
-    for (std::size_t p = 0; p < n_producers; ++p) {
-        threads.emplace_back([&, p] {
-            for (std::size_t i = 0; i < per_producer; ++i)
-                queue.push(static_cast<int>(p * per_producer + i), p);
-        });
-    }
-    for (std::size_t c = 0; c < n_consumers; ++c) {
-        threads.emplace_back([&, c] {
-            while (popped.load(std::memory_order_relaxed) < total) {
-                std::optional<int> t = queue.tryPop(c);
-                if (!t) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                seen[static_cast<std::size_t>(*t)].fetch_add(1);
-                popped.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-
-    EXPECT_EQ(popped.load(), total);
-    for (std::size_t v = 0; v < total; ++v)
-        EXPECT_EQ(seen[v].load(), 1u) << "task " << v;
-}
-
-TEST(CentralTaskQueueTest, ConcurrentStressExactlyOnce)
-{
-    CentralTaskQueue<int> q;
-    stressExactlyOnce(q, 3, 3, 2000);
-}
-
-/**
  * Producer/consumer/thief stress honouring the Chase–Lev ownership
- * contract, parameterised over both backends: each of n_owners
+ * contract: each of n_owners
  * threads is the sole pusher/taker on its own lane (interleaving
  * pushes with pops), while n_thieves extra threads own empty lanes
  * and therefore only ever steal. Accounting is exact — every task out
  * exactly once — which also proves steal races never lose or
  * duplicate the contended element. Runs under TSan in CI.
  */
-template <typename Pool>
 void
-stressOwnersAndThieves(Pool &pool, std::size_t n_owners,
+stressOwnersAndThieves(LockFreeTaskPool<int> &pool, std::size_t n_owners,
                        std::size_t n_thieves, std::size_t per_owner)
 {
     const std::size_t total = n_owners * per_owner;
@@ -290,12 +216,6 @@ stressOwnersAndThieves(Pool &pool, std::size_t n_owners,
     EXPECT_EQ(popped.load(), total);
     for (std::size_t v = 0; v < total; ++v)
         EXPECT_EQ(seen[v].load(), 1u) << "task " << v;
-}
-
-TEST(CentralTaskQueueTest, OwnersAndThievesStressExactlyOnce)
-{
-    CentralTaskQueue<int> q;
-    stressOwnersAndThieves(q, 3, 2, 2000);
 }
 
 TEST(LockFreeTaskPoolTest, OwnersAndThievesStressExactlyOnce)
