@@ -237,7 +237,8 @@ BM_FineGrainLockFree(benchmark::State &state)
  * range(0) changes, through /3 LockFree either all inline or all on
  * the workers. An untimed telemetry replay adds batch_cost_p50, the
  * median modeled batch cost, so the crossover batch size reads as a
- * floor in the cost model's units, and the replay's park counts.
+ * floor in the cost model's units, the replay's park counts, and the
+ * split of its thread time into tasks, lock waits and parks.
  */
 constexpr std::size_t kSweepChanges = 4096;
 
@@ -268,8 +269,12 @@ growthSweep(benchmark::State &state, const rete::CostModel &cost)
 
     auto probe = make();
     const telemetry::Registry *reg = probe->enableTelemetry();
+    rete::SpanRecorder spans(probe->options().n_workers + 1);
+    probe->setSpanRecorder(&spans);
+    std::uint64_t start = rete::spanClockNanos();
     for (const auto &batch : batches)
         probe->processChanges(batch);
+    double wall_ms = (rete::spanClockNanos() - start) / 1e6;
     state.counters["batch_cost_p50"] =
         reg->merged(telemetry::Histogram::BatchCostInstr).percentile(50);
     // Parks (between and within batches), and the mid-batch ones that
@@ -278,6 +283,19 @@ growthSweep(benchmark::State &state, const rete::CostModel &cost)
         reg->total(telemetry::Counter::WorkerParks));
     state.counters["park_timeouts"] = static_cast<double>(
         reg->total(telemetry::Counter::ParkTimeouts));
+    // Where the replay's thread time went: the threads' wall time in
+    // all, the part inside tasks, the part of that spent waiting on a
+    // contended node lock, and the part parked.
+    double task_ms = 0;
+    for (std::size_t lane = 0; lane < spans.workers(); ++lane)
+        for (const rete::RealSpan &span : spans.spans(lane))
+            task_ms += (span.end_ns - span.start_ns) / 1e6;
+    state.counters["thread_ms"] = wall_ms * spans.workers();
+    state.counters["task_ms"] = task_ms;
+    state.counters["lock_wait_ms"] =
+        reg->merged(telemetry::Histogram::LockWaitNanos).sum / 1e6;
+    state.counters["park_ms"] =
+        reg->merged(telemetry::Histogram::ParkNanos).sum / 1e6;
 }
 
 void

@@ -17,28 +17,12 @@ using rete::Side;
 using rete::TerminalNode;
 using rete::Token;
 
-namespace {
-
-/** Alpha memories shared, two-input nodes and beta memories private:
- *  every non-top beta memory has one successor, and an alpha memory
- *  lists its successors in ascending id, the composite task's lock
- *  order (both checked by rete::validateStructure). */
-rete::NetworkOptions
-networkOptions()
-{
-    rete::NetworkOptions o;
-    o.share_two_input = false;
-    return o;
-}
-
-} // namespace
-
 ParallelReteMatcher::ParallelReteMatcher(
     std::shared_ptr<const ops5::Program> program, ParallelOptions options,
     rete::CostModel cost_model)
     : program_(std::move(program)), options_(options), cost_(cost_model),
-      network_(std::make_shared<rete::Network>(program_,
-                                               networkOptions())),
+      network_(std::make_shared<rete::Network>(
+          program_, rete::NetworkOptions::fullSharing())),
       worker_stats_(options.n_workers + 1)
 {
     // With no workers every batch runs inline and no queue is used,
@@ -512,56 +496,52 @@ ParallelReteMatcher::runTask(const PTask &task, std::size_t worker,
 }
 
 void
-ParallelReteMatcher::lockNot(NotNode *node, std::size_t worker,
-                             telemetry::Registry *t)
+ParallelReteMatcher::lockSide(Node *node, Side side, std::size_t worker,
+                              telemetry::Registry *t)
 {
-    // try_lock-first probe: a failed try_lock is the contended case.
-    // Only taken with telemetry on, so the plain path stays one lock.
-    if (!t) {
-        node->mutex.lock();
+    if (node->kind == NodeKind::Terminal)
+        return; // nothing to guard: the conflict set locks itself
+    const bool join = node->kind == NodeKind::Join;
+    auto *lock = join ? &static_cast<JoinNode *>(node)->lock : nullptr;
+    auto *mutex = join ? nullptr : &static_cast<NotNode *>(node)->mutex;
+    // Only a failed first attempt reads the clock, so an uncontended
+    // acquisition stays one atomic RMW.
+    const bool contended =
+        join ? !lock->tryAcquire(side) : !mutex->try_lock();
+    if (contended) {
+        std::uint64_t wait_start = t ? rete::spanClockNanos() : 0;
+        join ? lock->acquire(side) : mutex->lock();
+        if (t)
+            t->observe(worker, telemetry::Histogram::LockWaitNanos,
+                       rete::spanClockNanos() - wait_start);
+    }
+    if (t) {
+        t->count(worker, join ? telemetry::Counter::JoinLockAcquires
+                              : telemetry::Counter::NotLockAcquires);
+        if (contended)
+            t->count(worker,
+                     join ? telemetry::Counter::JoinLockContended
+                          : telemetry::Counter::NotLockContended);
+    }
+    if (!checker_)
         return;
-    }
-    bool contended = !node->mutex.try_lock();
-    if (contended)
-        node->mutex.lock();
-    t->count(worker, telemetry::Counter::NotLockAcquires);
-    if (contended)
-        t->count(worker, telemetry::Counter::NotLockContended);
+    if (join)
+        checker_->enterSide(node->id, side, worker);
+    else
+        checker_->enterExclusive(node->id, worker);
 }
 
 void
-ParallelReteMatcher::lockRight(Node *succ, std::size_t worker,
-                               telemetry::Registry *t)
+ParallelReteMatcher::unlockSide(Node *node, Side side)
 {
-    if (succ->kind == NodeKind::Join) {
-        bool contended =
-            static_cast<JoinNode *>(succ)->lock.acquire(Side::Right);
-        if (t) {
-            t->count(worker, telemetry::Counter::JoinLockAcquires);
-            if (contended)
-                t->count(worker,
-                         telemetry::Counter::JoinLockContended);
-        }
+    if (node->kind == NodeKind::Join) {
         if (checker_)
-            checker_->enterSide(succ->id, Side::Right, worker);
-    } else {
-        lockNot(static_cast<NotNode *>(succ), worker, t);
+            checker_->leaveSide(node->id, side);
+        static_cast<JoinNode *>(node)->lock.release(side);
+    } else if (node->kind == NodeKind::Not) {
         if (checker_)
-            checker_->enterExclusive(succ->id, worker);
-    }
-}
-
-void
-ParallelReteMatcher::unlockRight(Node *succ)
-{
-    if (succ->kind == NodeKind::Join) {
-        if (checker_)
-            checker_->leaveSide(succ->id, Side::Right);
-        static_cast<JoinNode *>(succ)->lock.release(Side::Right);
-    } else {
-        if (checker_)
-            checker_->leaveExclusive(succ->id);
-        static_cast<NotNode *>(succ)->mutex.unlock();
+            checker_->leaveExclusive(node->id);
+        static_cast<NotNode *>(node)->mutex.unlock();
     }
 }
 
@@ -571,17 +551,17 @@ ParallelReteMatcher::processAlphaArrive(const PTask &task,
                                         telemetry::Registry *t)
 {
     // Composite activation over a shared alpha memory. Take the right
-    // side of every successor in ascending node id (the lock order;
-    // a left activation holds a single lock, so no cycle can form),
-    // update the memory once, then probe each successor's left input
-    // and release that successor. A successor's left side cannot run
-    // between the update and its probe, so every (token, element)
-    // pair is emitted exactly once — by this probe or by the left
-    // activation — also for a self-join over this one memory.
+    // side of every successor in ascending node id (the lock order
+    // token arrivals share, so no cycle can form), update the memory
+    // once, then probe each successor's left input and release that
+    // successor. A successor's left side cannot run between the
+    // update and its probe, so every (token, element) pair is emitted
+    // exactly once — by this probe or by the token arrival — also for
+    // a self-join over this one memory.
     auto *am = static_cast<AlphaMemoryNode *>(task.node);
     MatchStats &st = worker_stats_[worker].stats;
     for (Node *succ : am->successors)
-        lockRight(succ, worker, t);
+        lockSide(succ, Side::Right, worker, t);
     if (task.insert)
         am->insertWme(task.wme);
     else if (!am->removeWme(task.wme) && t)
@@ -595,10 +575,11 @@ ParallelReteMatcher::processAlphaArrive(const PTask &task,
         else
             probeNotRight(task, static_cast<NotNode *>(succ), worker,
                           t);
-        unlockRight(succ);
+        unlockSide(succ, Side::Right);
         // The shared memory belongs to no single production; a
-        // zero-cost activation of each (private) successor marks its
-        // production affected, as a right activation does serially.
+        // zero-cost activation of each successor marks its production
+        // affected (when it has just one), as a right activation does
+        // serially.
         if (t)
             t->nodeActivation(worker, succ->id, 0);
     }
@@ -684,107 +665,97 @@ ParallelReteMatcher::processBetaArrive(const PTask &task,
                                        std::size_t worker,
                                        telemetry::Registry *t)
 {
+    // Composite activation over a shared beta memory, the mirror of
+    // processAlphaArrive: take the left side of every successor in
+    // ascending node id, update the memory once, then probe each
+    // successor's right input (or report to the conflict set) and
+    // release that successor. An alpha task cannot read this memory
+    // between the update and a successor's probe, so each (token,
+    // element) pair is again emitted exactly once.
     auto *bm = static_cast<BetaMemoryNode *>(task.node);
-    MatchStats &st = worker_stats_[worker].stats;
-    const ops5::SymbolTable &syms = program_->symbols();
-    Node *succ = bm->successors.empty() ? nullptr : bm->successors.front();
-
-    if (!succ || succ->kind == NodeKind::Terminal) {
-        bool forward = task.insert ? bm->insertToken(task.token)
-                                   : bm->removeToken(task.token);
-        if (!task.insert && !forward && t)
-            t->count(worker, telemetry::Counter::TombstoneParks);
-        st.instructions += task.insert ? cost_.beta_insert
-                                       : cost_.beta_remove_base;
-        if (!forward || !succ)
-            return;
-        st.instructions += cost_.terminal;
-        auto *term = static_cast<TerminalNode *>(succ);
-        ops5::Instantiation inst;
-        inst.production = term->production;
-        inst.wmes = task.token.toVector();
-        if (task.insert)
-            conflict_set_.insert(std::move(inst));
-        else
-            conflict_set_.remove(inst);
-        return;
-    }
-
-    if (succ->kind == NodeKind::Join) {
-        auto *join = static_cast<JoinNode *>(succ);
-        rete::DirectionalGuard guard(join->lock, Side::Left);
-        DebugAccessChecker::SideScope check(checker_.get(), join->id,
-                                            Side::Left, worker);
-        if (t) {
-            t->count(worker, telemetry::Counter::JoinLockAcquires);
-            if (guard.contended())
-                t->count(worker,
-                         telemetry::Counter::JoinLockContended);
-        }
-        bool forward = task.insert ? bm->insertToken(task.token)
-                                   : bm->removeToken(task.token);
-        if (!task.insert && !forward && t)
-            t->count(worker, telemetry::Counter::TombstoneParks);
-        st.instructions += task.insert ? cost_.beta_insert
-                                       : cost_.beta_remove_base;
-        if (!forward)
-            return;
-        // Probe the right memory's bucket; charge the modeled full
-        // scan (candidates = opposite size) like the serial matcher.
-        std::uint64_t candidates = join->right->items.size();
-        std::uint64_t outputs = 0;
-        auto tryPair = [&](const ops5::Wme *wme) {
-            if (rete::evalFlatTests(join->flat, task.token, *wme,
-                                    syms)) {
-                ++outputs;
-                PTask next;
-                next.node = join->output;
-                next.insert = task.insert;
-                next.token = task.token.extend(wme);
-                spawn(std::move(next), worker, t);
-            }
-        };
-        if (join->right_probe >= 0 && join->right->indexed()) {
-            const rete::AlphaProbe &probe =
-                join->right->probes[join->right_probe];
-            auto range = probe.buckets.equal_range(
-                rete::probeHashFromToken(join->flat, task.token));
-            for (auto it = range.first; it != range.second; ++it)
-                tryPair(it->second);
-        } else {
-            for (const ops5::Wme *wme : join->right->items)
-                tryPair(wme);
-        }
-        st.comparisons += candidates;
-        st.tokens_built += outputs;
-        st.instructions += cost_.joinActivation(
-            candidates, candidates * join->tests.size(), outputs);
-        if (t)
-            t->observe(worker, telemetry::Histogram::JoinCandidates,
-                       candidates);
-        return;
-    }
-
-    auto *not_node = static_cast<NotNode *>(succ);
-    lockNot(not_node, worker, t);
-    std::lock_guard<std::mutex> lock(not_node->mutex, std::adopt_lock);
-    DebugAccessChecker::ExclusiveScope check(checker_.get(),
-                                             not_node->id, worker);
+    for (Node *succ : bm->successors)
+        lockSide(succ, Side::Left, worker, t);
     bool forward = task.insert ? bm->insertToken(task.token)
                                : bm->removeToken(task.token);
     if (!task.insert && !forward && t)
         t->count(worker, telemetry::Counter::TombstoneParks);
-    st.instructions += task.insert ? cost_.beta_insert
-                                   : cost_.beta_remove_base;
-    if (!forward)
-        return;
+    worker_stats_[worker].stats.instructions +=
+        task.insert ? cost_.beta_insert : cost_.beta_remove_base;
+    for (Node *succ : bm->successors) {
+        if (forward) {
+            if (succ->kind == NodeKind::Join)
+                probeJoinLeft(task, static_cast<JoinNode *>(succ), worker,
+                              t);
+            else if (succ->kind == NodeKind::Not)
+                probeNotLeft(task, static_cast<NotNode *>(succ), worker,
+                             t);
+            else
+                reportTerminal(task, static_cast<TerminalNode *>(succ),
+                               worker);
+            // As in processAlphaArrive: a shared memory maps to no
+            // production, so mark each successor's.
+            if (t)
+                t->nodeActivation(worker, succ->id, 0);
+        }
+        unlockSide(succ, Side::Left);
+    }
+}
+
+void
+ParallelReteMatcher::probeJoinLeft(const PTask &task, JoinNode *join,
+                                   std::size_t worker,
+                                   telemetry::Registry *t)
+{
+    // Probe the right memory's bucket; charge the modeled full scan
+    // (candidates = opposite size) like the serial matcher.
+    MatchStats &st = worker_stats_[worker].stats;
+    const ops5::SymbolTable &syms = program_->symbols();
+    std::uint64_t candidates = join->right->items.size();
+    std::uint64_t outputs = 0;
+    auto tryPair = [&](const ops5::Wme *wme) {
+        if (rete::evalFlatTests(join->flat, task.token, *wme, syms)) {
+            ++outputs;
+            PTask next;
+            next.node = join->output;
+            next.insert = task.insert;
+            next.token = task.token.extend(wme);
+            spawn(std::move(next), worker, t);
+        }
+    };
+    if (join->right_probe >= 0 && join->right->indexed()) {
+        const rete::AlphaProbe &probe =
+            join->right->probes[join->right_probe];
+        auto range = probe.buckets.equal_range(
+            rete::probeHashFromToken(join->flat, task.token));
+        for (auto it = range.first; it != range.second; ++it)
+            tryPair(it->second);
+    } else {
+        for (const ops5::Wme *wme : join->right->items)
+            tryPair(wme);
+    }
+    st.comparisons += candidates;
+    st.tokens_built += outputs;
+    st.instructions += cost_.joinActivation(
+        candidates, candidates * join->tests.size(), outputs);
+    if (t)
+        t->observe(worker, telemetry::Histogram::JoinCandidates,
+                   candidates);
+}
+
+void
+ParallelReteMatcher::probeNotLeft(const PTask &task, NotNode *not_node,
+                                  std::size_t worker,
+                                  telemetry::Registry *t)
+{
+    MatchStats &st = worker_stats_[worker].stats;
+    const ops5::SymbolTable &syms = program_->symbols();
+    int count;
     if (task.insert) {
         // Count matches via the right memory's probe bucket; the
         // modeled cost still charges the full scan.
         std::uint64_t candidates = not_node->right->items.size();
-        int count = 0;
-        if (not_node->right_probe >= 0 &&
-            not_node->right->indexed()) {
+        count = 0;
+        if (not_node->right_probe >= 0 && not_node->right->indexed()) {
             const rete::AlphaProbe &probe =
                 not_node->right->probes[not_node->right_probe];
             auto range = probe.buckets.equal_range(
@@ -795,8 +766,8 @@ ParallelReteMatcher::processBetaArrive(const PTask &task,
                     ++count;
         } else {
             for (const ops5::Wme *wme : not_node->right->items)
-                if (rete::evalFlatTests(not_node->flat, task.token,
-                                        *wme, syms))
+                if (rete::evalFlatTests(not_node->flat, task.token, *wme,
+                                        syms))
                     ++count;
         }
         st.comparisons += candidates;
@@ -806,25 +777,32 @@ ParallelReteMatcher::processBetaArrive(const PTask &task,
             t->observe(worker, telemetry::Histogram::JoinCandidates,
                        candidates);
         not_node->addEntry(task.token, count);
-        if (count == 0) {
-            PTask next;
-            next.node = not_node->output;
-            next.insert = true;
-            next.token = task.token;
-            spawn(std::move(next), worker, t);
-        }
     } else {
         st.instructions += cost_.not_base +
             not_node->entries.size() * cost_.not_per_entry;
-        int count = not_node->removeEntry(task.token);
-        if (count == 0) {
-            PTask next;
-            next.node = not_node->output;
-            next.insert = false;
-            next.token = task.token;
-            spawn(std::move(next), worker, t);
-        }
+        count = not_node->removeEntry(task.token);
     }
+    if (count == 0) {
+        PTask next;
+        next.node = not_node->output;
+        next.insert = task.insert;
+        next.token = task.token;
+        spawn(std::move(next), worker, t);
+    }
+}
+
+void
+ParallelReteMatcher::reportTerminal(const PTask &task, TerminalNode *term,
+                                    std::size_t worker)
+{
+    worker_stats_[worker].stats.instructions += cost_.terminal;
+    ops5::Instantiation inst;
+    inst.production = term->production;
+    inst.wmes = task.token.toVector();
+    if (task.insert)
+        conflict_set_.insert(std::move(inst));
+    else
+        conflict_set_.remove(inst);
 }
 
 } // namespace psm::core

@@ -6,23 +6,24 @@
  * Parallelism follows Section 4: node activations are the task unit;
  * multiple activations of the same node may run in parallel (same
  * side); and all WME changes of one firing are processed in parallel.
- * The network shares constant tests and alpha memories across
- * productions but gives up two-input sharing: every join and not-node
- * has its own output memory, so each beta memory has one successor.
- * That private beta state is the part of the paper's Section 6
- * "loss of node sharing" the matcher still pays.
+ * The network is the one serial Rete uses (NetworkOptions::
+ * fullSharing()): constant tests, alpha memories, two-input nodes and
+ * beta memories are all shared across productions with a common
+ * prefix, so the matcher no longer pays the paper's Section 6 "loss
+ * of node sharing".
  *
  * Interference control (the job of the paper's hardware scheduler):
- *  - an element change is one composite task per alpha memory: it
- *    takes the right side of every successor in ascending node id,
- *    updates the shared memory once, then probes each successor's
- *    left memory and releases that successor;
- *  - a token arrival folds the beta-memory update and the right
- *    probe into one unit under its single successor's lock, so left
- *    activations hold one lock and the fixed order cannot deadlock;
+ *  - every memory update is one composite task per memory: it takes
+ *    one side of every successor in ascending node id (the right side
+ *    for an element change at an alpha memory, the left side for a
+ *    token arrival at a beta memory), updates the shared memory once,
+ *    then probes each successor's opposite input (or, for a terminal,
+ *    the conflict set) and releases that successor. Both kinds lock
+ *    in one global order, so no cycle of waiters can form;
  *  - joins use a DirectionalLock (same side concurrent, opposite side
  *    exclusive; one atomic word), not-nodes a plain mutex (their
- *    counts are read-modify-write);
+ *    counts are read-modify-write); a contended acquisition's wait is
+ *    observed in the LockWaitNanos histogram;
  *  - out-of-order conjugate insert/remove pairs are absorbed by
  *    anti-token tombstones in beta memories and the conflict set,
  *    cleared at every cycle barrier.
@@ -39,11 +40,11 @@
  * termination counter or barrier walk. One thread running each
  * alpha arrival's subtree to completion before the next is one of
  * the interleavings the locks already permit, and in it a removal
- * never overtakes its insertion: a seed's own tokens are all of one
- * sign except those a not-node flips, and the flipped token's
- * descendants are built by successors probed after it (downstream
- * nodes have larger ids), so they pop first. An inline batch
- * therefore parks no tombstone, and debug builds assert it. Larger
+ * never overtakes its insertion: only the seed task flips a sign, it
+ * probes in ascending id, and downstream nodes have larger ids, so
+ * the insert's copy of a token always pops first (ARCHITECTURE.md
+ * §3). An inline batch therefore parks no tombstone, and debug
+ * builds assert it. Larger
  * batches go through the workers as described above.
  */
 
@@ -106,7 +107,7 @@ struct ParallelOptions
 };
 
 /**
- * Fine-grain parallel Rete matcher over an alpha-shared network.
+ * Fine-grain parallel Rete matcher over a fully shared network.
  */
 class ParallelReteMatcher : public Matcher
 {
@@ -231,18 +232,23 @@ class ParallelReteMatcher : public Matcher
                        std::size_t worker, telemetry::Registry *t);
     void processBetaArrive(const PTask &task, std::size_t worker,
                            telemetry::Registry *t);
+    void probeJoinLeft(const PTask &task, rete::JoinNode *join,
+                       std::size_t worker, telemetry::Registry *t);
+    void probeNotLeft(const PTask &task, rete::NotNode *not_node,
+                      std::size_t worker, telemetry::Registry *t);
+    void reportTerminal(const PTask &task, rete::TerminalNode *term,
+                        std::size_t worker);
 
-    /** Locks a not-node's mutex, counting contention. */
-    void lockNot(rete::NotNode *node, std::size_t worker,
-                 telemetry::Registry *t);
-    /** Takes the right side of two-input node @p succ (a join's
-     *  DirectionalLock, a not-node's mutex) and registers it with the
-     *  access checker; unlockRight undoes both. The composite alpha
-     *  task holds a set of these taken in a loop, which the static
-     *  analysis cannot follow, hence the opt-out. */
-    void lockRight(rete::Node *succ, std::size_t worker,
-                   telemetry::Registry *t) PSM_NO_THREAD_SAFETY_ANALYSIS;
-    void unlockRight(rete::Node *succ) PSM_NO_THREAD_SAFETY_ANALYSIS;
+    /** Takes @p side of successor @p node (a join's DirectionalLock,
+     *  a not-node's mutex, nothing for a terminal), registers it with
+     *  the access checker and, when it had to wait, observes the wait
+     *  in LockWaitNanos; unlockSide undoes it. A composite task holds
+     *  a set of these taken in a loop, which the static analysis
+     *  cannot follow, hence the opt-out. */
+    void lockSide(rete::Node *node, rete::Side side, std::size_t worker,
+                  telemetry::Registry *t) PSM_NO_THREAD_SAFETY_ANALYSIS;
+    void unlockSide(rete::Node *node,
+                    rete::Side side) PSM_NO_THREAD_SAFETY_ANALYSIS;
 
     /** Per-worker statistics slot, padded against false sharing. */
     struct alignas(64) WorkerStats

@@ -68,6 +68,7 @@ histogramName(Histogram h)
       case Histogram::DurableRecoveryMs: return "recovery_ms";
       case Histogram::TombstoneHighWater: return "tombstone_high_water";
       case Histogram::BatchCostInstr: return "batch_cost_instr";
+      case Histogram::LockWaitNanos: return "lock_wait_nanos";
       case Histogram::kCount: break;
     }
     return "unknown";

@@ -105,6 +105,7 @@ enum class Histogram : std::uint8_t {
     DurableRecoveryMs,     ///< durable: milliseconds per recovery
     TombstoneHighWater,    ///< peak pending tombstones per beta memory
     BatchCostInstr,        ///< modeled probe cost per matcher batch
+    LockWaitNanos,         ///< wall-clock wait per contended node lock
     kCount,
 };
 

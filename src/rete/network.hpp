@@ -6,10 +6,10 @@
  *
  * Sharing matters to the paper twice over: the serial Rete exploits
  * it ("sharing evaluation of common tests amongst multiple
- * productions"), while the parallel implementation gives up memory /
- * two-input sharing — one of the three components of the lost factor
- * in Section 6. Building the same program with sharing on and off
- * quantifies that loss.
+ * productions"), while the paper's parallel implementation gives up
+ * memory / two-input sharing — one of the three components of the
+ * lost factor in Section 6 (the parallel matcher here keeps it).
+ * Building the same program with sharing on and off quantifies that.
  */
 
 #ifndef PSM_RETE_NETWORK_HPP
@@ -51,8 +51,8 @@ struct NetworkOptions
 
     /** Private state per production: no alpha or two-input sharing.
      *  The serial baseline of E3's sharing-loss measurement, and the
-     *  network psm/capture traces. The parallel matcher shares alpha
-     *  memories and keeps only two-input state private. */
+     *  network psm/capture traces. The parallel matcher shares
+     *  everything, like the serial Rete. */
     static NetworkOptions
     privateState()
     {
@@ -82,6 +82,8 @@ struct BuildStats
         return const_tests + alpha_memories + joins + nots +
                beta_memories + terminals;
     }
+
+    bool operator==(const BuildStats &) const = default;
 };
 
 /**
@@ -89,8 +91,8 @@ struct BuildStats
  *
  * The network is immutable in structure after construction; only the
  * memory-node contents change during match. It can therefore back any
- * number of sequential runs, and (with two-input sharing off) the
- * fine-grain parallel matcher.
+ * number of sequential runs, and the fine-grain parallel matcher,
+ * which locks each memory's successors in list (ascending id) order.
  */
 class Network
 {

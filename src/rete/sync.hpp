@@ -40,8 +40,8 @@ enum class Side : std::uint8_t { Left, Right };
  * One atomic word holds both counts, left in the low half and right
  * in the high half. A side joins by CAS while the opposite count is
  * zero; an uncontended acquire or release is one atomic RMW, which
- * matters because a composite alpha activation takes the right side
- * of every successor of a shared memory. A waiter spins politely and
+ * matters because a composite activation takes one side of every
+ * successor of a shared memory. A waiter spins politely and
  * then yields (core::IdleBackoff); with task granularity of 50-100
  * instructions, hold times are too short to park. There is no
  * fairness: a side waits only while the other side is active.
@@ -49,28 +49,28 @@ enum class Side : std::uint8_t { Left, Right };
 class PSM_CAPABILITY("directional_lock") DirectionalLock
 {
   public:
-    /** @return true when the caller had to wait for the opposite
-     *  side — the contention signal telemetry reports. */
+    /** One attempt: joins @p side unless the opposite side is held
+     *  (a CAS lost to same-side traffic retries). */
     bool
+    tryAcquire(Side side)
+        PSM_THREAD_ANNOTATION(try_acquire_shared_capability(true))
+    {
+        const std::uint64_t theirs = side == Side::Left ? ~kLow : kLow;
+        std::uint64_t word = word_.load(std::memory_order_relaxed);
+        while ((word & theirs) == 0)
+            if (word_.compare_exchange_weak(word, word + unit(side),
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed))
+                return true;
+        return false;
+    }
+
+    void
     acquire(Side side) PSM_ACQUIRE_SHARED()
     {
-        const std::uint64_t mine = unit(side);
-        const std::uint64_t theirs = side == Side::Left ? ~kLow : kLow;
-        bool contended = false;
         core::IdleBackoff backoff;
-        std::uint64_t word = word_.load(std::memory_order_relaxed);
-        for (;;) {
-            if ((word & theirs) == 0) {
-                if (word_.compare_exchange_weak(
-                        word, word + mine, std::memory_order_acquire,
-                        std::memory_order_relaxed))
-                    return contended;
-                continue; // same-side traffic moved the word: retry
-            }
-            contended = true;
+        while (!tryAcquire(side))
             backoff.step();
-            word = word_.load(std::memory_order_relaxed);
-        }
     }
 
     void
@@ -108,21 +108,19 @@ class PSM_SCOPED_CAPABILITY DirectionalGuard
   public:
     DirectionalGuard(DirectionalLock &lock, Side side)
         PSM_ACQUIRE_SHARED(lock)
-        : lock_(lock), side_(side), contended_(lock_.acquire(side_))
-    {}
+        : lock_(lock), side_(side)
+    {
+        lock_.acquire(side_);
+    }
 
     ~DirectionalGuard() PSM_RELEASE_GENERIC() { lock_.release(side_); }
 
     DirectionalGuard(const DirectionalGuard &) = delete;
     DirectionalGuard &operator=(const DirectionalGuard &) = delete;
 
-    /** Whether the acquisition waited for the opposite side. */
-    bool contended() const { return contended_; }
-
   private:
     DirectionalLock &lock_;
     Side side_;
-    bool contended_;
 };
 
 } // namespace psm::rete

@@ -133,15 +133,7 @@ class StructureValidator
                 nodeError(result_, am, "null successor");
                 continue;
             }
-            // The parallel matcher's composite task locks successors
-            // in list order, which must be the global (id) order.
-            if (!net_.options().share_two_input && succ->id <= prev_id) {
-                nodeError(result_, am,
-                          "lock order violated: successor " +
-                              std::to_string(succ->id) + " after " +
-                              std::to_string(prev_id));
-            }
-            prev_id = succ->id;
+            checkLockOrder(am, succ, prev_id);
             const AlphaMemoryNode *right = nullptr;
             if (succ->kind == NodeKind::Join)
                 right = static_cast<const JoinNode *>(succ)->right;
@@ -172,11 +164,13 @@ class StructureValidator
                           std::to_string(bm->successors.size()) +
                           " successors, want 1");
         }
+        int prev_id = -1;
         for (const Node *succ : bm->successors) {
             if (!succ) {
                 nodeError(result_, bm, "null successor");
                 continue;
             }
+            checkLockOrder(bm, succ, prev_id);
             if (succ->kind == NodeKind::Terminal) {
                 ++terminal_feeders_[succ->id];
                 continue;
@@ -199,6 +193,21 @@ class StructureValidator
                               " does not use it as left input");
             }
         }
+    }
+
+    /** The parallel matcher's composite tasks lock a memory's
+     *  successors in list order, which must be the global (id) order:
+     *  strictly ascending, so no node is locked twice either. */
+    void
+    checkLockOrder(const Node *mem, const Node *succ, int &prev_id)
+    {
+        if (succ->id <= prev_id) {
+            nodeError(result_, mem,
+                      "lock order violated: successor " +
+                          std::to_string(succ->id) + " after " +
+                          std::to_string(prev_id));
+        }
+        prev_id = succ->id;
     }
 
     void

@@ -62,10 +62,10 @@ struct ValidationResult
  * ids, non-null and type-correct wiring on every edge, two-input
  * nodes registered as successors of both input memories, exactly one
  * producer per beta memory (except the dummy top), terminals fed by
- * exactly one memory, and — for networks without two-input sharing
- * — the invariants the parallel matcher's composite activations rely
- * on: one successor per non-top beta memory, and alpha-memory
- * successors in strictly ascending id (the lock order).
+ * exactly one memory, every alpha- and beta-memory successor list in
+ * strictly ascending id (the parallel matcher's lock order), and, for
+ * networks without two-input sharing, one successor per non-top beta
+ * memory.
  */
 ValidationResult validateStructure(const Network &network);
 

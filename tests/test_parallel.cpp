@@ -2,7 +2,7 @@
  * @file
  * Parallel-runtime tests: task queues, the directional lock, and the
  * parallel matcher under stress (many workers, repeated runs, heavy
- * negation, one alpha memory shared by several joins).
+ * negation, one alpha or beta memory shared by several joins).
  */
 
 #include <gtest/gtest.h>
@@ -237,48 +237,22 @@ snapshot(const ops5::ConflictSet &cs)
     return out;
 }
 
-TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
+/**
+ * Drives @p pars and serial shared Rete through 200 batches of 24
+ * random changes over classes a (x y) and b (x), with values in 0..3.
+ * A random walk capped at 64 live elements: every batch both joins and
+ * retracts, and the conflict set stays small enough to compare at
+ * every barrier, where each parallel matcher must hold serial Rete's
+ * conflict set and a network state validateNetworkState accepts.
+ */
+void
+expectChurnMatchesSerialRete(
+    const std::shared_ptr<const ops5::Program> &program,
+    const std::vector<std::unique_ptr<core::ParallelReteMatcher>> &pars)
 {
-    // No CE over class a has a constant test, so all four read one
-    // alpha memory: both sides of the self-join in `self`, the join
-    // in `pair` and the negated CE of `lonely`.
-    auto program = ops5::parse(R"(
-(literalize a x y)
-(literalize b x)
-(p self (a ^x <v>) (a ^y <v>) --> (halt))
-(p pair (b ^x <v>) (a ^y <v>) --> (halt))
-(p lonely (b ^x <v>) -(a ^x <v>) --> (halt))
-)");
     const ops5::SymbolId a = program->symbols().find("a");
     const ops5::SymbolId b = program->symbols().find("b");
-
     rete::ReteMatcher serial(program);
-    std::vector<std::unique_ptr<core::ParallelReteMatcher>> pars;
-    core::ParallelOptions opt;
-    opt.access_check = true;
-    // /0 runs every batch inline.
-    pars.push_back(std::make_unique<core::ParallelReteMatcher>(program, opt));
-    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-        opt.n_workers = workers;
-        for (const rete::CostModel &cost : {rete::CostModel{}, kFineGrain})
-            pars.push_back(std::make_unique<core::ParallelReteMatcher>(
-                program, opt, cost));
-    }
-
-    // The shape the test is about: one alpha memory, four successors
-    // in ascending id, one of them a not-node.
-    const rete::AlphaMemoryNode *shared = nullptr;
-    for (const auto &node : pars.front()->network().nodes())
-        if (node->kind == rete::NodeKind::AlphaMemory &&
-            static_cast<rete::AlphaMemoryNode *>(node.get())
-                    ->successors.size() == 4)
-            shared = static_cast<rete::AlphaMemoryNode *>(node.get());
-    ASSERT_NE(shared, nullptr);
-    EXPECT_TRUE(std::any_of(
-        shared->successors.begin(), shared->successors.end(),
-        [](const rete::Node *n) { return n->kind == rete::NodeKind::Not; }));
-    ASSERT_TRUE(rete::validateStructure(pars.front()->network()).ok());
-
     ops5::WorkingMemory wm;
     std::vector<const ops5::Wme *> live;
     std::mt19937_64 rng(4242);
@@ -290,9 +264,6 @@ TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
     for (int batch_no = 0; batch_no < 200; ++batch_no) {
         std::vector<ops5::WmeChange> batch;
         for (int i = 0; i < 24; ++i) {
-            // A random walk capped at 64 live elements: every batch
-            // both joins and retracts, and the conflict set stays
-            // small enough to compare at every barrier.
             bool remove = live.size() > 64 ||
                 (live.size() > 4 &&
                  std::uniform_int_distribution<int>(0, 9)(rng) < 5);
@@ -332,6 +303,107 @@ TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
     EXPECT_GT(peak, 20u) << "the churn barely matched anything";
     for (auto &par : pars)
         EXPECT_EQ(par->accessChecker()->violationCount(), 0u);
+}
+
+TEST(ParallelMatcherTest, SharedAlphaMemoryMatchesSerialRete)
+{
+    // No CE over class a has a constant test, so all four read one
+    // alpha memory: both sides of the self-join in `self`, the join
+    // in `pair` and the negated CE of `lonely`.
+    auto program = ops5::parse(R"(
+(literalize a x y)
+(literalize b x)
+(p self (a ^x <v>) (a ^y <v>) --> (halt))
+(p pair (b ^x <v>) (a ^y <v>) --> (halt))
+(p lonely (b ^x <v>) -(a ^x <v>) --> (halt))
+)");
+    std::vector<std::unique_ptr<core::ParallelReteMatcher>> pars;
+    core::ParallelOptions opt;
+    opt.access_check = true;
+    // /0 runs every batch inline.
+    pars.push_back(std::make_unique<core::ParallelReteMatcher>(program, opt));
+    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+        opt.n_workers = workers;
+        for (const rete::CostModel &cost : {rete::CostModel{}, kFineGrain})
+            pars.push_back(std::make_unique<core::ParallelReteMatcher>(
+                program, opt, cost));
+    }
+
+    // The shape the test is about: one alpha memory, four successors
+    // in ascending id, one of them a not-node.
+    const rete::AlphaMemoryNode *shared = nullptr;
+    for (const auto &node : pars.front()->network().nodes())
+        if (node->kind == rete::NodeKind::AlphaMemory &&
+            static_cast<rete::AlphaMemoryNode *>(node.get())
+                    ->successors.size() == 4)
+            shared = static_cast<rete::AlphaMemoryNode *>(node.get());
+    ASSERT_NE(shared, nullptr);
+    EXPECT_TRUE(std::any_of(
+        shared->successors.begin(), shared->successors.end(),
+        [](const rete::Node *n) { return n->kind == rete::NodeKind::Not; }));
+    ASSERT_TRUE(rete::validateStructure(pars.front()->network()).ok());
+    expectChurnMatchesSerialRete(program, pars);
+}
+
+TEST(ParallelMatcherTest, SharedBetaMemoryMatchesSerialRete)
+{
+    // Every production starts with (a ^x <v>), so one beta memory
+    // holds that prefix for all of them and feeds `base`'s terminal,
+    // the joins of `self` and `pair` (which `deep` shares), and the
+    // not-node of `lonely`. `self` reads, on its right, the alpha memory that fed
+    // the prefix (a self-join through the shared prefix); `deep`
+    // shares `pair`'s output memory too, one level further down.
+    auto program = ops5::parse(R"(
+(literalize a x y)
+(literalize b x)
+(p base (a ^x <v>) --> (halt))
+(p self (a ^x <v>) (a ^y <v>) --> (halt))
+(p pair (a ^x <v>) (b ^x <v>) --> (halt))
+(p deep (a ^x <v>) (b ^x <v>) (a ^y <v>) --> (halt))
+(p lonely (a ^x <v>) -(b ^x <v>) --> (halt))
+)");
+    std::vector<std::unique_ptr<core::ParallelReteMatcher>> pars;
+    core::ParallelOptions opt;
+    opt.access_check = true;
+    // /0 runs every batch inline; /3 at floor 0 runs every batch on
+    // the workers.
+    pars.push_back(std::make_unique<core::ParallelReteMatcher>(program, opt));
+    opt.n_workers = 3;
+    pars.push_back(
+        std::make_unique<core::ParallelReteMatcher>(program, opt, kFineGrain));
+
+    // The shape the test is about.
+    const rete::Network &net = pars.front()->network();
+    ASSERT_TRUE(rete::validateStructure(net).ok());
+    const rete::BetaMemoryNode *prefix = nullptr;
+    for (const auto &node : net.nodes())
+        if (node->kind == rete::NodeKind::BetaMemory &&
+            static_cast<rete::BetaMemoryNode *>(node.get())
+                    ->successors.size() == 4)
+            prefix = static_cast<rete::BetaMemoryNode *>(node.get());
+    ASSERT_NE(prefix, nullptr);
+    auto count = [&](rete::NodeKind kind) {
+        return std::count_if(
+            prefix->successors.begin(), prefix->successors.end(),
+            [kind](const rete::Node *n) { return n->kind == kind; });
+    };
+    EXPECT_EQ(count(rete::NodeKind::Terminal), 1);
+    EXPECT_EQ(count(rete::NodeKind::Join), 2);
+    EXPECT_EQ(count(rete::NodeKind::Not), 1);
+    const rete::AlphaMemoryNode *prefix_alpha = nullptr;
+    for (const auto &node : net.nodes())
+        if (node->kind == rete::NodeKind::Join &&
+            static_cast<rete::JoinNode *>(node.get())->output == prefix)
+            prefix_alpha = static_cast<rete::JoinNode *>(node.get())->right;
+    ASSERT_NE(prefix_alpha, nullptr);
+    EXPECT_TRUE(std::any_of(
+        prefix->successors.begin(), prefix->successors.end(),
+        [&](const rete::Node *n) {
+            return n->kind == rete::NodeKind::Join &&
+                static_cast<const rete::JoinNode *>(n)->right ==
+                    prefix_alpha;
+        }));
+    expectChurnMatchesSerialRete(program, pars);
 }
 
 TEST(ParallelMatcherTest, ManyWorkersHeavyNegationStress)

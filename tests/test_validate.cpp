@@ -370,10 +370,11 @@ TEST_F(CorruptionTest, AlphaRemoveMissFlagged)
 }
 
 /**
- * The invariants the parallel matcher's composite alpha task relies
- * on, on a network with alpha memories shared and two-input nodes
- * private: one successor per non-top beta memory, and alpha-memory
- * successors in ascending id (the lock order).
+ * The invariants the parallel matcher's composite tasks rely on:
+ * every memory's successors in ascending id (the lock order), shown
+ * here on a network with alpha memories shared and two-input nodes
+ * private (where each non-top beta memory has one successor) and on a
+ * fully shared one.
  */
 class CompositeInvariantTest : public ::testing::Test
 {
@@ -437,8 +438,8 @@ TEST_F(CompositeInvariantTest, DuplicateAlphaSuccessorBreaksLockOrder)
 
 TEST_F(CompositeInvariantTest, UnsharedBetaMemoryWithTwoSuccessors)
 {
-    // A token arrival folds into its memory's single successor; a
-    // second one would never be activated.
+    // Without two-input sharing every production owns its beta
+    // memories, so a second successor means the builder shared one.
     rete::BetaMemoryNode *bm = nullptr;
     for (const auto &node : net_->nodes())
         if (node->kind == rete::NodeKind::BetaMemory &&
@@ -452,21 +453,43 @@ TEST_F(CompositeInvariantTest, UnsharedBetaMemoryWithTwoSuccessors)
     EXPECT_TRUE(mentions(r, "unshared beta memory")) << r.summary();
 }
 
+TEST_F(CompositeInvariantTest, SharedBetaSuccessorsOutOfLockOrder)
+{
+    // Under full sharing the first join's output memory feeds both
+    // productions: a join and a not-node. Two token arrivals walking
+    // its successors in different orders could deadlock.
+    rete::Network shared(program_, rete::NetworkOptions::fullSharing());
+    ASSERT_TRUE(rete::validateStructure(shared).ok());
+    rete::BetaMemoryNode *bm = nullptr;
+    for (const auto &node : shared.nodes())
+        if (node->kind == rete::NodeKind::BetaMemory &&
+            node.get() != shared.top() &&
+            static_cast<rete::BetaMemoryNode *>(node.get())
+                    ->successors.size() >= 2)
+            bm = static_cast<rete::BetaMemoryNode *>(node.get());
+    ASSERT_NE(bm, nullptr);
+    std::swap(bm->successors[0], bm->successors[1]);
+    auto r = rete::validateStructure(shared);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(mentions(r, "lock order")) << r.summary();
+}
+
 TEST_F(CompositeInvariantTest, ParallelMatcherNetworkIsClean)
 {
+    // The parallel matcher runs over the network serial Rete uses:
+    // alpha memories, two-input nodes and beta memories all shared.
     auto program =
         workloads::generateProgram(workloads::growthPreset().config);
     core::ParallelReteMatcher par(program);
     auto r = rete::validateStructure(par.network());
     EXPECT_TRUE(r.ok()) << r.summary();
-    // Alpha memories as few as under full sharing, far fewer than
-    // one per condition element.
-    rete::Network shared(program);
+    rete::Network shared(program, rete::NetworkOptions::fullSharing());
     rete::Network priv(program, rete::NetworkOptions::privateState());
-    const int alpha = par.network().buildStats().alpha_memories;
-    EXPECT_EQ(alpha, shared.buildStats().alpha_memories);
-    EXPECT_LT(alpha, priv.buildStats().alpha_memories);
-    EXPECT_EQ(par.network().buildStats().reused_two_input, 0);
+    const rete::BuildStats &stats = par.network().buildStats();
+    EXPECT_TRUE(stats == shared.buildStats());
+    EXPECT_EQ(par.network().nodes().size(), 223u);
+    EXPECT_LT(stats.total(), priv.buildStats().total());
+    EXPECT_GT(stats.reused_two_input, 0);
 }
 
 /** Conflict-set agreement must also hold through a real run with
