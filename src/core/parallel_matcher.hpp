@@ -3,49 +3,38 @@
  * The fine-grain parallel Rete matcher — the paper's primary
  * contribution, realised on host threads.
  *
- * Parallelism follows Section 4: node activations are the task unit;
- * multiple activations of the same node may run in parallel (same
- * side); and all WME changes of one firing are processed in parallel.
- * The network is the one serial Rete uses (NetworkOptions::
- * fullSharing()): constant tests, alpha memories, two-input nodes and
- * beta memories are all shared across productions with a common
- * prefix, so the matcher no longer pays the paper's Section 6 "loss
- * of node sharing".
- *
- * Interference control (the job of the paper's hardware scheduler):
- *  - every memory update is one composite task per memory: it takes
- *    one side of every successor in ascending node id (the right side
- *    for an element change at an alpha memory, the left side for a
- *    token arrival at a beta memory), updates the shared memory once,
- *    then probes each successor's opposite input (or, for a terminal,
- *    the conflict set) and releases that successor. Both kinds lock
- *    in one global order, so no cycle of waiters can form;
- *  - joins use a DirectionalLock (same side concurrent, opposite side
- *    exclusive; one atomic word), not-nodes a plain mutex (their
- *    counts are read-modify-write); a contended acquisition's wait is
- *    observed in the LockWaitNanos histogram;
- *  - out-of-order conjugate insert/remove pairs are absorbed by
- *    anti-token tombstones in beta memories and the conflict set,
- *    cleared at every cycle barrier.
+ * It is rete::ReteMatcher's executor plus workers. The network is the
+ * one serial Rete uses (NetworkOptions::fullSharing()), and the tasks
+ * are serial Rete's composite memory arrivals: each takes one side of
+ * every successor of its memory in ascending node id, updates the
+ * memory once, then probes each successor and releases it. Both task
+ * kinds lock in one global order, so no cycle of waiters can form.
+ * Joins use a DirectionalLock (same side concurrent, opposite side
+ * exclusive; one atomic word), not-nodes a plain mutex (their counts
+ * are read-modify-write). Parallelism follows Section 4: many
+ * activations of one node may run at once (same side), and all WM
+ * changes of one firing are processed in parallel.
  *
  * Task size against scheduling cost (the paper's Section 8, and its
  * limit (c): a firing changes about two elements, so a cycle has
- * little work to share). The submitter walks each change's stateless
- * constant-test chains itself and, on the way, sums the modeled cost
- * of every probe the batch will start: over the alpha memories it
- * reaches, the CostModel cost of each successor's opposite-memory
- * scan. Below CostModel::worker_wake, or with no workers at all, the
- * batch runs inline: depth-first on a submitter-local LIFO stack,
- * under the same node locks (uncontended), with no wake-up, queue,
- * termination counter or barrier walk. One thread running each
- * alpha arrival's subtree to completion before the next is one of
- * the interleavings the locks already permit, and in it a removal
- * never overtakes its insertion: only the seed task flips a sign, it
- * probes in ascending id, and downstream nodes have larger ids, so
- * the insert's copy of a token always pops first (ARCHITECTURE.md
- * §3). An inline batch therefore parks no tombstone, and debug
- * builds assert it. Larger
- * batches go through the workers as described above.
+ * little work to share). Before a batch starts, the submitter sums
+ * the modeled cost of every probe it will start: over the alpha
+ * memories its changes reach, the CostModel cost of each successor's
+ * opposite-memory scan. Below CostModel::worker_wake, with no workers
+ * at all, or with a trace sink attached, the batch runs inline, and
+ * an inline batch is a serial Rete run: the same changes in order on
+ * the submitter's LIFO stack, under one affected-production epoch,
+ * with no wake-up, queue, termination counter or barrier.
+ *
+ * Only a batch sent to the workers adds what concurrency needs:
+ *  - conjugate cancellation: an insert and a remove of one element in
+ *    one batch are dropped together, so a removal cannot overtake its
+ *    insertion at an alpha memory;
+ *  - tombstones: out-of-order derived insert/remove pairs are
+ *    absorbed by anti-tokens in beta memories and the conflict set,
+ *    and the barrier after the batch clears them;
+ *  - per-worker stats lanes and telemetry shards, and contended lock
+ *    waits observed in the LockWaitNanos histogram.
  */
 
 #ifndef PSM_CORE_PARALLEL_MATCHER_HPP
@@ -62,9 +51,7 @@
 #include "core/matcher.hpp"
 #include "core/task_queue.hpp"
 #include "core/telemetry.hpp"
-#include "rete/cost_model.hpp"
-#include "rete/network.hpp"
-#include "rete/trace_export.hpp"
+#include "rete/matcher.hpp"
 
 namespace psm::core {
 
@@ -107,9 +94,10 @@ struct ParallelOptions
 };
 
 /**
- * Fine-grain parallel Rete matcher over a fully shared network.
+ * Fine-grain parallel Rete matcher: rete::ReteMatcher's executor over
+ * a fully shared network, plus workers.
  */
-class ParallelReteMatcher : public Matcher
+class ParallelReteMatcher : public rete::ReteMatcher
 {
   public:
     explicit ParallelReteMatcher(
@@ -123,17 +111,8 @@ class ParallelReteMatcher : public Matcher
 
     void processChanges(std::span<const ops5::WmeChange> changes) override;
 
-    ops5::ConflictSet &conflictSet() override { return conflict_set_; }
-    const ops5::ConflictSet &
-    conflictSet() const override
-    {
-        return conflict_set_;
-    }
+    std::string name() const override { return "rete-parallel"; }
 
-    MatchStats stats() const override;
-    std::string name() const override;
-
-    rete::Network &network() { return *network_; }
     const ParallelOptions &options() const { return options_; }
 
     /** Tombstones absorbed since construction (conjugate races).
@@ -141,22 +120,6 @@ class ParallelReteMatcher : public Matcher
     std::uint64_t tombstoneEvents() const { return tombstone_events_; }
 
     telemetry::Registry *enableTelemetry() override;
-    telemetry::Registry *telemetry() override
-    {
-        return tel_owned_.get();
-    }
-    const telemetry::Registry *
-    telemetry() const override
-    {
-        return tel_owned_.get();
-    }
-
-    /**
-     * Attaches a real-time span recorder (nullptr detaches). The
-     * recorder must have n_workers + 1 lanes. Same threading rule as
-     * enableTelemetry(): call before the first processChanges().
-     */
-    void setSpanRecorder(rete::SpanRecorder *rec) { spans_ = rec; }
 
     /** The ownership checker, or nullptr when access_check is off. */
     const DebugAccessChecker *
@@ -166,38 +129,29 @@ class ParallelReteMatcher : public Matcher
     }
 
   private:
-    /** One fine-grain task: a node activation. */
-    struct PTask
-    {
-        rete::Node *node = nullptr;
-        bool insert = true;
-        rete::Token token;
-        const ops5::Wme *wme = nullptr;
-    };
+    /** Sends @p task to the submitter's stack during an inline batch,
+     *  else to the shared pool, counted on pending_. */
+    void spawn(Task task, std::size_t worker,
+               telemetry::Registry *t) override;
 
     void workerLoop(std::size_t worker);
 
     /**
-     * Walks @p change's constant-test chains on the submitter,
-     * charging their tests to lane 0 and appending one alpha-arrive
-     * task per alpha memory reached to seeds_. Returns the modeled
-     * cost of the probes those arrivals will run.
+     * Modeled cost of the probes @p changes start: walks their
+     * constant-test chains (uncharged) and sums, over the alpha
+     * memories reached, each successor's opposite-memory scan at the
+     * current sizes.
      */
-    std::uint64_t seedChange(const ops5::WmeChange &change);
-    /** Modeled cost of @p am's successor probes at their current
-     *  opposite-memory sizes, as processAlphaArrive charges them
-     *  (no outputs counted). */
-    std::uint64_t probeCost(const rete::AlphaMemoryNode &am) const;
-    /** Parallel path: wakes the workers and joins in until the batch
-     *  drains. */
-    void runParallel(telemetry::Registry *t);
-    /** Cycle barrier after a parallel batch: drops the tombstones its
-     *  conjugate races left and samples beta-memory occupancy. */
+    std::uint64_t batchCost(std::span<const ops5::WmeChange> changes,
+                            telemetry::Registry *t);
+    /** Worker path: drops conjugate insert/remove pairs, walks the
+     *  rest into the pool, wakes the workers and joins in until the
+     *  batch drains, then runs the tombstone barrier. */
+    void runWorkers(std::span<const ops5::WmeChange> changes,
+                    telemetry::Registry *t);
+    /** Cycle barrier after a worker batch: drops the tombstones its
+     *  conjugate races left. */
     void barrier(telemetry::Registry *t);
-    /** True when no beta memory has parked a tombstone since the last
-     *  barrier and the conflict set holds none (the invariant an
-     *  inline batch keeps). */
-    bool tombstoneFree() const;
 
     /**
      * One adaptive-idle park while a batch is live: announce via
@@ -205,94 +159,20 @@ class ParallelReteMatcher : public Matcher
      * idle_cv_ until new work is spawned (work_gen_ advances), the
      * batch ends, or the backstop timeout fires. @p seen_work is the
      * caller-local last-observed work_gen_; @p misses feeds the
-     * SpinsBeforePark histogram. Returns true if the recheck ran a
-     * task instead of parking.
+     * SpinsBeforePark histogram. A backstop wait is rechecked once
+     * more, and counted in ParkTimeouts only when that recheck finds
+     * a task: its wake-up was lost.
      */
-    bool midBatchPark(std::size_t worker, telemetry::Registry *t,
+    void midBatchPark(std::size_t worker, telemetry::Registry *t,
                       std::uint64_t &seen_work, std::uint32_t misses);
-    // The task path takes the telemetry registry as a parameter: it
-    // is loaded from tel_ once per worker-loop iteration (and once
-    // per processChanges call) rather than at every call site, so the
-    // unattached/compiled-out configurations pay no per-event load.
-    void runTask(const PTask &task, std::size_t worker,
-                 telemetry::Registry *t);
-    /** runTask, recorded in the span recorder when one is attached. */
-    void runRecorded(const PTask &task, std::size_t worker,
-                     telemetry::Registry *t);
-    /** Queues @p task: on the inline stack during an inline batch,
-     *  else in the shared pool, counted on pending_. */
-    void spawn(PTask task, std::size_t worker, telemetry::Registry *t);
     bool tryRunOne(std::size_t worker, telemetry::Registry *t);
 
-    void processAlphaArrive(const PTask &task, std::size_t worker,
-                            telemetry::Registry *t);
-    void probeJoinRight(const PTask &task, rete::JoinNode *join,
-                        std::size_t worker, telemetry::Registry *t);
-    void probeNotRight(const PTask &task, rete::NotNode *not_node,
-                       std::size_t worker, telemetry::Registry *t);
-    void processBetaArrive(const PTask &task, std::size_t worker,
-                           telemetry::Registry *t);
-    void probeJoinLeft(const PTask &task, rete::JoinNode *join,
-                       std::size_t worker, telemetry::Registry *t);
-    void probeNotLeft(const PTask &task, rete::NotNode *not_node,
-                      std::size_t worker, telemetry::Registry *t);
-    void reportTerminal(const PTask &task, rete::TerminalNode *term,
-                        std::size_t worker);
-
-    /** Takes @p side of successor @p node (a join's DirectionalLock,
-     *  a not-node's mutex, nothing for a terminal), registers it with
-     *  the access checker and, when it had to wait, observes the wait
-     *  in LockWaitNanos; unlockSide undoes it. A composite task holds
-     *  a set of these taken in a loop, which the static analysis
-     *  cannot follow, hence the opt-out. */
-    void lockSide(rete::Node *node, rete::Side side, std::size_t worker,
-                  telemetry::Registry *t) PSM_NO_THREAD_SAFETY_ANALYSIS;
-    void unlockSide(rete::Node *node,
-                    rete::Side side) PSM_NO_THREAD_SAFETY_ANALYSIS;
-
-    /** Per-worker statistics slot, padded against false sharing. */
-    struct alignas(64) WorkerStats
-    {
-        MatchStats stats;
-    };
-
-    std::shared_ptr<const ops5::Program> program_;
     ParallelOptions options_;
-    rete::CostModel cost_;
-    std::shared_ptr<rete::Network> network_;
-    ops5::ConflictSet conflict_set_;
 
     /** The task pool; null with no workers (every batch inline). */
-    std::unique_ptr<LockFreeTaskPool<PTask>> pool_;
-    std::unique_ptr<DebugAccessChecker> checker_;
-
-    // Telemetry: the owned registry is published through an atomic
-    // pointer because parked workers poll it outside any batch (no
-    // queue/cv happens-before edge exists there). Relaxed loads are
-    // free on the hot path; publication order is provided by the
-    // enable-before-first-batch contract.
-    std::unique_ptr<telemetry::Registry> tel_owned_;
-    std::atomic<telemetry::Registry *> tel_{nullptr};
-    rete::SpanRecorder *spans_ = nullptr;
-
-    telemetry::Registry *
-    tel() const
-    {
-#if PSM_TELEMETRY
-        return tel_.load(std::memory_order_relaxed);
-#else
-        return nullptr;
-#endif
-    }
+    std::unique_ptr<LockFreeTaskPool<Task>> pool_;
 
     std::vector<std::thread> threads_;
-    std::vector<WorkerStats> worker_stats_;
-
-    // Batch counter, written by the submitter before any task of the
-    // batch is pushed and read by workers only after popping one of
-    // those tasks — the pool's push/pop supplies the happens-before
-    // edge.
-    std::uint32_t cycle_ = 0;
 
     std::atomic<bool> stop_{false};
     std::atomic<long> pending_{0};
@@ -312,21 +192,17 @@ class ParallelReteMatcher : public Matcher
     std::atomic<std::uint32_t> idle_waiters_{0};
     /** Submitter-local last-seen work_gen_ (submitter thread only). */
     std::uint64_t submitter_seen_work_ = 0;
-    /** Submitter-only scratch of processChanges, reused across calls:
-     *  a batch's inserted elements, and those it also removes (both
-     *  sorted); the constant-test walk's stack; the batch's
-     *  alpha-arrive seeds; and the inline path's LIFO task stack. */
+    /** Submitter-only scratch of runWorkers, reused across calls: a
+     *  batch's inserted elements, and those it also removes (both
+     *  sorted). */
     std::vector<const ops5::Wme *> inserted_;
     std::vector<const ops5::Wme *> cancelled_;
-    std::vector<rete::Node *> walk_;
-    std::vector<PTask> seeds_;
-    std::vector<PTask> stack_;
     /** Whether the current batch runs inline. Written by the
      *  submitter before the batch's first task exists; workers read it
-     *  in spawn() only while running a task of a parallel batch, after
+     *  in spawn() only while running a task of a worker batch, after
      *  the pool's push/pop edge, and the submitter writes it again
      *  only after reading pending_ == 0 (acquire). */
-    bool inline_ = false;
+    bool inline_ = true;
 };
 
 } // namespace psm::core

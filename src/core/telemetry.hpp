@@ -53,7 +53,7 @@ namespace psm::telemetry {
 
 /** Scalar event counters, one slot per shard each. */
 enum class Counter : std::uint16_t {
-    TasksExecuted,       ///< node-activation tasks run
+    TasksExecuted,       ///< memory-arrival tasks run
     TasksSpawned,        ///< tasks pushed to a scheduler queue
     QueuePushes,         ///< scheduler enqueues
     QueuePops,           ///< successful scheduler dequeues
@@ -84,7 +84,7 @@ enum class Counter : std::uint16_t {
     TombstoneParks,      ///< beta removes that parked an anti-token
     InlineBatches,       ///< batches run inline on the submitter
     ParkTimeouts,        ///< mid-batch parks ended by the backstop
-                         ///< with tasks still pending
+                         ///< with a task waiting (a lost wake-up)
     kCount,
 };
 
@@ -92,7 +92,7 @@ enum class Counter : std::uint16_t {
 enum class Histogram : std::uint8_t {
     TaskCostInstr,   ///< cost-model instructions per task
     QueueDepth,      ///< scheduler queue depth observed at push
-    BetaMemorySize,  ///< beta-memory token count after an update
+    BetaMemorySize,  ///< per beta memory, token count at batch end
     JoinCandidates,  ///< opposite-memory candidates per two-input scan
     ParkNanos,       ///< wall-clock nanoseconds per worker park
     SpinsBeforePark, ///< failed polls a worker absorbed before parking

@@ -141,9 +141,11 @@ AlphaMemoryNode::insertWme(const ops5::Wme *wme)
 }
 
 bool
-AlphaMemoryNode::removeWme(const ops5::Wme *wme)
+AlphaMemoryNode::removeWme(const ops5::Wme *wme, std::size_t *held)
 {
     std::lock_guard lock(mutex);
+    if (held)
+        *held = items.size();
     if (!idx_active) {
         // Below the adaptive threshold the memory holds fewer than
         // kMemIndexOn entries, so the linear scan is bounded and
@@ -258,9 +260,11 @@ BetaMemoryNode::insertToken(Token token)
 }
 
 bool
-BetaMemoryNode::removeToken(const Token &token)
+BetaMemoryNode::removeToken(const Token &token, std::size_t *held)
 {
     std::lock_guard lock(mutex);
+    if (held)
+        *held = store.size();
     if (!idx_active) {
         std::int32_t slot = store.findSlot(token);
         if (slot >= 0) {

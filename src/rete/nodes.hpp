@@ -170,12 +170,15 @@ struct AlphaMemoryNode : Node
     void insertWme(const ops5::Wme *wme);
 
     /**
-     * Erases @p wme from items and every index. Thread safe.
+     * Erases @p wme from items and every index. Thread safe. When
+     * @p held is given it receives the size before the erase, the
+     * length of the classic removal scan the cost model charges.
      * @return false when absent (also recorded in remove_misses so
      *         rete/validate can flag the desync even when callers
      *         cannot stop to report it).
      */
-    [[nodiscard]] bool removeWme(const ops5::Wme *wme);
+    [[nodiscard]] bool removeWme(const ops5::Wme *wme,
+                                 std::size_t *held = nullptr);
 
     /** Unlocked snapshot size (approximate under concurrency). */
     std::size_t size() const { return items.size(); }
@@ -239,11 +242,12 @@ struct BetaMemoryNode : Node
     bool insertToken(Token token);
 
     /**
-     * Removes @p token; parks a tombstone when absent.
+     * Removes @p token; parks a tombstone when absent. @p held, when
+     * given, receives the size before the removal (as removeWme).
      * @return true when a live token was removed (forward downstream
      *         only then).
      */
-    bool removeToken(const Token &token);
+    bool removeToken(const Token &token, std::size_t *held = nullptr);
 
     void clearTombstones();
     std::size_t size() const { return store.size(); }

@@ -261,8 +261,15 @@ TEST(ChurnStressTest, RestoreThenChurnRebuildsWorkingIndexes)
     rete::ReteMatcher matcher1(program);
     core::Engine engine1(program, matcher1);
     engine1.loadInitialWorkingMemory();
-    for (int s = 0; s < 6; ++s)
+    // The naive matcher shares no code with the Rete executor, so the
+    // lockstep below is checked against it as well.
+    treat::NaiveMatcher naive(program);
+    core::Engine engine0(program, naive);
+    engine0.loadInitialWorkingMemory();
+    for (int s = 0; s < 6; ++s) {
         drive(engine1, s);
+        drive(engine0, s);
+    }
 
     durable::SnapshotData snap = durable::captureSnapshot(engine1);
     ASSERT_TRUE(snap.rete.present);
@@ -279,8 +286,12 @@ TEST(ChurnStressTest, RestoreThenChurnRebuildsWorkingIndexes)
     // point and require byte-identical conflict sets plus continued
     // index agreement on the restored network.
     for (int s = 6; s < 14; ++s) {
+        drive(engine0, s);
         drive(engine1, s);
         drive(engine2, s);
+        ASSERT_EQ(snapshot(matcher1.conflictSet()),
+                  snapshot(naive.conflictSet()))
+            << "engine diverged from the naive matcher at step " << s;
         ASSERT_EQ(snapshot(matcher2.conflictSet()),
                   snapshot(matcher1.conflictSet()))
             << "restored engine diverged at step " << s;

@@ -197,6 +197,46 @@ TEST(DurableFormat, StateRestorePassesFullValidation)
                     "fully validated state restore");
 }
 
+TEST(DurableFormat, ParallelSessionRestoresMatchState)
+{
+    // The parallel matcher runs serial Rete's executor over the same
+    // fully shared network, so its match state snapshots and restores
+    // as serial Rete's does, here straight after worker batches.
+    auto program = tinyProgram();
+    core::ParallelOptions opt;
+    opt.n_workers = 2;
+    const rete::CostModel fine_grain{.worker_wake = 0};
+    core::ParallelReteMatcher matcher(program, opt, fine_grain);
+    core::Engine engine(program, matcher);
+    engine.loadInitialWorkingMemory();
+    engine.run(5);
+    durable::SnapshotData snap = durable::captureSnapshot(engine);
+    ASSERT_TRUE(snap.rete.present);
+
+    core::ParallelReteMatcher matcher2(program, opt, fine_grain);
+    core::Engine engine2(program, matcher2);
+    EXPECT_TRUE(durable::restoreSnapshot(engine2, snap,
+                                         durable::RestoreValidation::Full));
+    rete::ReteMatcher serial(program);
+    core::Engine engine3(program, serial);
+    EXPECT_TRUE(durable::restoreSnapshot(engine3, snap,
+                                         durable::RestoreValidation::Full));
+    expectSameImage(imageOf(engine2), imageOf(engine),
+                    "parallel state restore");
+    // The restored sessions keep matching in lockstep with the one
+    // that never stopped.
+    for (int step = 0; step < 4; ++step) {
+        driveStep(engine, step);
+        driveStep(engine2, step);
+        driveStep(engine3, step);
+        const std::string at = " step " + std::to_string(step);
+        expectSameImage(imageOf(engine2), imageOf(engine),
+                        "restored parallel" + at);
+        expectSameImage(imageOf(engine3), imageOf(engine),
+                        "serial restored from a parallel snapshot" + at);
+    }
+}
+
 TEST(DurableFormat, SnapshotRejectsBitFlips)
 {
     auto program = tinyProgram();
@@ -425,9 +465,11 @@ TEST(DurableEquivalence, RecoverThenDivergeAcrossAllMatchers)
         durable::RecoveryStats stats = manager.recover();
         EXPECT_TRUE(stats.recovered) << m->name();
         EXPECT_GT(stats.wal_records_replayed, 0u) << m->name();
-        // Only the serial Rete matchers on the shared node layout can
-        // take the state-restore path; everyone else replays.
-        bool can_state = m == &shared_rete || m == &hashed_rete;
+        // Only the Rete matchers on the shared node layout can take
+        // the state-restore path (the parallel matcher is serial
+        // Rete's executor over that layout); everyone else replays.
+        bool can_state = m == &shared_rete || m == &hashed_rete ||
+                         m == &par0 || m == &par2 || m == &par3;
         EXPECT_EQ(stats.state_restored, can_state) << m->name();
         expectSameImage(imageOf(*engine), crashed,
                         std::string("recovery into ") + m->name());

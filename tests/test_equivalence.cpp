@@ -115,8 +115,11 @@ TEST_P(EquivalenceTest, AllMatchersAgreeOnConflictSet)
                 << " diverged at batch " << b << " (seed " << param.seed
                 << ")";
         }
-        EXPECT_EQ(shared_rete.pendingTombstones(), 0u);
-        EXPECT_EQ(private_rete.pendingTombstones(), 0u);
+        for (const rete::ReteMatcher *rete :
+             std::initializer_list<const rete::ReteMatcher *>{
+                 &shared_rete, &hashed_rete, &private_rete, &par0,
+                 &par1, &par3, &par2_fine, &par3_fine})
+            EXPECT_EQ(rete->pendingTombstones(), 0u) << rete->name();
     }
 }
 

@@ -22,6 +22,7 @@
 #include "rete/matcher.hpp"
 #include "rete/sync.hpp"
 #include "rete/validate.hpp"
+#include "treat/naive.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/presets.hpp"
 
@@ -238,12 +239,14 @@ snapshot(const ops5::ConflictSet &cs)
 }
 
 /**
- * Drives @p pars and serial shared Rete through 200 batches of 24
- * random changes over classes a (x y) and b (x), with values in 0..3.
- * A random walk capped at 64 live elements: every batch both joins and
- * retracts, and the conflict set stays small enough to compare at
- * every barrier, where each parallel matcher must hold serial Rete's
- * conflict set and a network state validateNetworkState accepts.
+ * Drives @p pars, serial shared Rete and the naive matcher through 200
+ * batches of 24 random changes over classes a (x y) and b (x), with
+ * values in 0..3. A random walk capped at 64 live elements: every
+ * batch both joins and retracts, and the conflict set stays small
+ * enough to compare at every barrier, where serial Rete and each
+ * parallel matcher must hold the naive matcher's conflict set (the
+ * reference that shares no code with the Rete executor) and each
+ * parallel network a state validateNetworkState accepts.
  */
 void
 expectChurnMatchesSerialRete(
@@ -253,6 +256,7 @@ expectChurnMatchesSerialRete(
     const ops5::SymbolId a = program->symbols().find("a");
     const ops5::SymbolId b = program->symbols().find("b");
     rete::ReteMatcher serial(program);
+    treat::NaiveMatcher naive(program);
     ops5::WorkingMemory wm;
     std::vector<const ops5::Wme *> live;
     std::mt19937_64 rng(4242);
@@ -284,7 +288,10 @@ expectChurnMatchesSerialRete(
             }
         }
         serial.processChanges(batch);
-        auto expected = snapshot(serial.conflictSet());
+        naive.processChanges(batch);
+        auto expected = snapshot(naive.conflictSet());
+        ASSERT_EQ(snapshot(serial.conflictSet()), expected)
+            << "serial Rete diverged at batch " << batch_no;
         peak = std::max(peak, expected.size());
         for (std::size_t i = 0; i < pars.size(); ++i) {
             core::ParallelReteMatcher &par = *pars[i];
@@ -414,8 +421,7 @@ TEST(ParallelMatcherTest, ManyWorkersHeavyNegationStress)
     auto program = workloads::generateProgram(preset.config);
 
     for (int trial = 0; trial < 6; ++trial) {
-        core::ParallelOptions ref_opt; // deterministic single-thread
-        core::ParallelReteMatcher ref(program, ref_opt);
+        treat::NaiveMatcher ref(program);
         core::ParallelOptions opt;
         opt.n_workers = trial % 2 == 0 ? 7 : 2;
         core::ParallelReteMatcher par(program, opt, kFineGrain);
@@ -427,7 +433,8 @@ TEST(ParallelMatcherTest, ManyWorkersHeavyNegationStress)
             auto batch = stream.nextBatch(12);
             ref.processChanges(batch);
             par.processChanges(batch);
-            EXPECT_EQ(par.conflictSet().size(), ref.conflictSet().size())
+            EXPECT_EQ(snapshot(par.conflictSet()),
+                      snapshot(ref.conflictSet()))
                 << "trial " << trial << " batch " << b;
         }
     }
@@ -481,6 +488,60 @@ TEST(ParallelMatcherTest, StatsAggregateAcrossWorkers)
     EXPECT_GT(st.instructions, 0u);
 }
 
+/** MatchStats as one comparable, printable value. */
+std::array<std::uint64_t, 5>
+fields(const core::MatchStats &s)
+{
+    return {s.changes_processed, s.activations, s.comparisons,
+            s.tokens_built, s.instructions};
+}
+
+TEST(ParallelMatcherTest, InlineBatchesReportSerialReteAccounting)
+{
+    // One executor, one accounting: serial Rete over the fully shared
+    // network and the parallel matcher running every batch inline (no
+    // workers, and three workers under the default floor) charge the
+    // same MatchStats and hold the same conflict set after every batch
+    // of a churn stream with removes and not-nodes.
+    workloads::SystemPreset preset = workloads::tinyPreset(29);
+    preset.config.negated_fraction = 0.3;
+    auto program = workloads::generateProgram(preset.config);
+    rete::ReteMatcher serial(std::make_shared<rete::Network>(
+        program, rete::NetworkOptions::fullSharing()));
+    core::ParallelOptions opt;
+    core::ParallelReteMatcher par0(program, opt);
+    opt.n_workers = 3;
+    core::ParallelReteMatcher par3(program, opt);
+    telemetry::Registry *reg = par3.enableTelemetry();
+
+    ops5::WorkingMemory wm;
+    workloads::ChangeStream stream(*program, wm, preset.config, 31);
+    const int kBatches = 80;
+    std::uint64_t removes = 0;
+    for (int b = 0; b < kBatches; ++b) {
+        auto batch = stream.nextBatch(8, 0.4);
+        for (const ops5::WmeChange &c : batch)
+            removes += c.kind == ops5::ChangeKind::Remove;
+        serial.processChanges(batch);
+        const auto expected = snapshot(serial.conflictSet());
+        for (core::ParallelReteMatcher *par : {&par0, &par3}) {
+            par->processChanges(batch);
+            ASSERT_EQ(snapshot(par->conflictSet()), expected)
+                << "/" << par->options().n_workers << " batch " << b;
+            ASSERT_EQ(fields(par->stats()), fields(serial.stats()))
+                << "/" << par->options().n_workers << " batch " << b;
+        }
+    }
+    EXPECT_GT(removes, 100u);
+    EXPECT_GT(serial.stats().tokens_built, 0u);
+#if PSM_TELEMETRY
+    EXPECT_EQ(reg->total(telemetry::Counter::InlineBatches),
+              static_cast<std::uint64_t>(kBatches));
+#else
+    (void)reg;
+#endif
+}
+
 /** Tasks each lane ran, from a span recorder with one lane per
  *  thread (lane 0 is the submitter). */
 std::vector<std::size_t>
@@ -499,7 +560,7 @@ TEST(ParallelMatcherTest, SmallBatchRunsInlineWithoutWakingWorkers)
     // it alone and the workers stay parked.
     auto preset = workloads::presetByName("daa");
     auto program = workloads::generateProgram(preset.config);
-    rete::ReteMatcher serial(program);
+    treat::NaiveMatcher naive(program);
     core::ParallelOptions opt;
     opt.n_workers = 3;
     core::ParallelReteMatcher par(program, opt);
@@ -512,10 +573,10 @@ TEST(ParallelMatcherTest, SmallBatchRunsInlineWithoutWakingWorkers)
     const int kBatches = 200;
     for (int b = 0; b < kBatches; ++b) {
         auto batch = stream.nextBatch(preset.changes_per_firing, 0.5);
-        serial.processChanges(batch);
+        naive.processChanges(batch);
         par.processChanges(batch);
     }
-    EXPECT_EQ(snapshot(par.conflictSet()), snapshot(serial.conflictSet()));
+    EXPECT_EQ(snapshot(par.conflictSet()), snapshot(naive.conflictSet()));
 
     std::vector<std::size_t> lanes = spansPerLane(rec);
     EXPECT_GT(lanes[0], 0u);
@@ -552,12 +613,19 @@ TEST(ParallelMatcherTest, LargeBatchStillUsesWorkers)
     ops5::WorkingMemory wm;
     workloads::ChangeStream stream(*program, wm, preset.config, 7);
     const int kBatches = 24;
+    std::vector<ops5::WmeChange> all;
     for (int b = 0; b < kBatches; ++b) {
         auto batch = stream.nextBatch(64, 0.04);
         serial.processChanges(batch);
         par.processChanges(batch);
+        all.insert(all.end(), batch.begin(), batch.end());
     }
     EXPECT_EQ(snapshot(par.conflictSet()), snapshot(serial.conflictSet()));
+    // The naive matcher re-matches all of working memory per call, so
+    // it sees the whole stream once.
+    treat::NaiveMatcher naive(program);
+    naive.processChanges(all);
+    EXPECT_EQ(snapshot(par.conflictSet()), snapshot(naive.conflictSet()));
 
     std::vector<std::size_t> lanes = spansPerLane(rec);
     EXPECT_GT(std::accumulate(lanes.begin() + 1, lanes.end(),
